@@ -15,13 +15,12 @@
 //   --host ADDR        listen address (default 127.0.0.1)
 //   --port N           listen port (default 0 = ephemeral, printed on start)
 //   --threads N        engine worker threads (default 0 = hardware-sized)
-//   --max-queue N      admission queue bound, in request slots
-//   --linger-us N      batching linger window in microseconds
+//   --max-queue N      bound on admitted, unanswered evaluate slots
 //   --deadline-ms N    cap on per-request deadlines
 //   --drain-ms N       shutdown grace period for in-flight work
 //   --no-brownout      disable tiered load shedding under overload
-//   --brownout-enter R queue pressure in [0,1] that counts as a hot tick
-//   --brownout-exit R  queue pressure at or below which the server recovers
+//   --brownout-enter R admitted slots / max-queue that counts as a hot tick
+//   --brownout-exit R  slot pressure at or below which the server recovers
 //
 // Cluster mode (see DESIGN.md "Cluster layer" and README "Running a
 // cluster"): give the node an id and point it at any running member —
@@ -107,9 +106,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-queue") {
       options.maxQueueSlots =
           static_cast<std::size_t>(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--linger-us") {
-      options.batchLinger =
-          std::chrono::microseconds(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--deadline-ms") {
       options.maxDeadline =
           std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
@@ -171,7 +167,7 @@ int main(int argc, char** argv) {
           std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: stordep_serve [--host ADDR] [--port N]"
-                   " [--threads N] [--max-queue N] [--linger-us N]"
+                   " [--threads N] [--max-queue N]"
                    " [--deadline-ms N] [--drain-ms N] [--no-brownout]"
                    " [--brownout-enter R] [--brownout-exit R]"
                    " [--node-id ID] [--cluster-seed HOST:PORT]..."

@@ -207,8 +207,8 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   const auto start = std::chrono::steady_clock::now();
 
   // No write-behind scope here: a batch may legitimately contain duplicate
-  // pairs (the service batcher coalesces concurrent requests), and deferred
-  // inserts would make every duplicate recompute instead of hitting. The
+  // pairs (a served array request may repeat one), and deferred inserts
+  // would make every duplicate recompute instead of hitting. The
   // optimizer's sweeps — whose pair keys are unique — open the scope
   // themselves around their candidate fan-outs.
   BatchResult out;

@@ -176,18 +176,28 @@ Json stochasticToJson(const stochastic::ScenarioDistribution& dist) {
 Json stochasticEnvelope(const StorageDesign& design,
                         const FailureScenario& scenario,
                         const StochasticRequest& spec,
-                        StochasticRunStats* stats) {
+                        StochasticRunStats* stats,
+                        const engine::CancellationToken& token) {
   try {
     stochastic::StochasticOptions options;
     options.trials = spec.trials;
     options.seed = spec.seed;
-    options.threads = 1;  // already on an engine worker; stay deterministic
+    options.threads = 1;
+    options.token = token;
     options.reliability = spec.reliability;
     options.usePlan = spec.usePlan;
     const stochastic::StochasticEvaluator evaluator(design, options);
     const engine::Expected<stochastic::ScenarioDistribution> outcome =
         evaluator.distributionFor(scenario);
-    if (!outcome.ok()) return evalErrorToJson(outcome.error());
+    if (!outcome.ok()) {
+      // The evaluator reports these two codes only for a fired token.
+      const engine::EvalErrorCode code = outcome.error().code;
+      if (stats != nullptr) {
+        stats->cancelled = code == engine::EvalErrorCode::kCancelled ||
+                           code == engine::EvalErrorCode::kDeadlineExceeded;
+      }
+      return evalErrorToJson(outcome.error());
+    }
     if (stats != nullptr) {
       stats->trials = outcome.value().trials;
       stats->wallSeconds = outcome.value().wallSeconds;
@@ -230,8 +240,8 @@ int httpStatusFor(engine::EvalErrorCode code) noexcept {
 
 namespace {
 
-/// Trials are CPU on an engine worker; keep one request from monopolizing
-/// the pool.
+/// Trials run inline on the request's task; keep one request from holding
+/// a server worker for long.
 constexpr int kMaxStochasticTrials = 65'536;
 
 [[nodiscard]] EvaluateItem parseEvaluateItem(const Json& value) {

@@ -65,6 +65,8 @@ struct StochasticRunStats {
   int trials = 0;
   double wallSeconds = 0.0;
   bool usedPlan = false;
+  /// The token stopped the run; the envelope is its cancellation error.
+  bool cancelled = false;
 };
 
 /// Serialized ScenarioDistribution (distribution summaries use the same
@@ -78,13 +80,14 @@ struct StochasticRunStats {
 /// value of the response's "stochastic" key: the serialized distribution on
 /// success, {"error": {...}} on failure. Shared by the server and
 /// `stordep_eval --json --stochastic` so offline and served documents stay
-/// bit-identical (modulo the "perf" subobject). `stats`, when non-null, is
-/// filled on success for the server's /metrics accounting.
-[[nodiscard]] config::Json stochasticEnvelope(const StorageDesign& design,
-                                              const FailureScenario& scenario,
-                                              const StochasticRequest& spec,
-                                              StochasticRunStats* stats =
-                                                  nullptr);
+/// bit-identical (modulo the "perf" subobject). Trials run on the calling
+/// thread and stop at `token` (the server passes the request's deadline).
+/// `stats`, when non-null, is filled on success for the server's /metrics
+/// accounting, and flags a run the token cut short.
+[[nodiscard]] config::Json stochasticEnvelope(
+    const StorageDesign& design, const FailureScenario& scenario,
+    const StochasticRequest& spec, StochasticRunStats* stats = nullptr,
+    const engine::CancellationToken& token = {});
 
 // ---- Error mapping ---------------------------------------------------------
 
@@ -98,8 +101,8 @@ struct StochasticRunStats {
 // ---- Request parsing -------------------------------------------------------
 
 /// One design+scenario pair from a request body. Designs are shared_ptr so
-/// an array request referencing the same design many times (or the batcher
-/// coalescing across connections) never copies the materialized design.
+/// handing the pairs to the engine (and to the request's pool task) never
+/// copies the materialized design.
 struct EvaluateItem {
   std::shared_ptr<const StorageDesign> design;
   FailureScenario scenario;

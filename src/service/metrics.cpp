@@ -141,7 +141,6 @@ config::Json ServiceMetrics::snapshot(engine::Engine& engine) {
   out.set("connections", connections);
 
   Json admission{JsonObject{}};
-  admission.set("queuedSlots", gauge(queuedSlots));
   admission.set("inFlightSlots", gauge(inFlightSlots));
   admission.set("activeSearches", gauge(activeSearches));
   admission.set("rejectedQueueFull", gauge(rejectedQueueFull));
@@ -149,24 +148,13 @@ config::Json ServiceMetrics::snapshot(engine::Engine& engine) {
   admission.set("deadlineExpired", gauge(deadlineExpired));
   out.set("admission", admission);
 
-  Json batching{JsonObject{}};
-  const std::uint64_t waveCount = waves.load(std::memory_order_relaxed);
-  const std::uint64_t slotCount = batchedSlots.load(std::memory_order_relaxed);
-  batching.set("waves", Json(static_cast<double>(waveCount)));
-  batching.set("batchedSlots", Json(static_cast<double>(slotCount)));
-  batching.set("avgWaveSlots",
-               Json(waveCount == 0 ? 0.0
-                                   : static_cast<double>(slotCount) /
-                                         static_cast<double>(waveCount)));
-  batching.set("waveFailures", gauge(waveFailures));
-  out.set("batching", batching);
-
   Json resilience{JsonObject{}};
   resilience.set("brownoutTier", gauge(brownoutTier));
   resilience.set("brownoutTransitions", gauge(brownoutTransitions));
   resilience.set("shedStochastic", gauge(shedStochastic));
   resilience.set("shedCold", gauge(shedCold));
   resilience.set("searchPeerDisconnects", gauge(searchPeerDisconnects));
+  resilience.set("evaluateFailures", gauge(evaluateFailures));
   out.set("resilience", resilience);
 
   Json endpoints{JsonObject{}};

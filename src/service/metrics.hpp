@@ -83,18 +83,13 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> connectionsRejected{0};  ///< over the cap
 
   // Admission control.
-  std::atomic<std::int64_t> queuedSlots{0};    ///< waiting for a wave
-  std::atomic<std::int64_t> inFlightSlots{0};  ///< inside evaluateBatch
+  std::atomic<std::int64_t> inFlightSlots{0};  ///< admitted, not yet answered
   std::atomic<std::int64_t> activeSearches{0};
   std::atomic<std::uint64_t> rejectedQueueFull{0};  ///< 429s
   std::atomic<std::uint64_t> rejectedDraining{0};   ///< 503s while draining
-  std::atomic<std::uint64_t> deadlineExpired{0};    ///< 504s
-
-  // Batching effectiveness.
-  std::atomic<std::uint64_t> waves{0};         ///< evaluateBatch calls
-  std::atomic<std::uint64_t> batchedSlots{0};  ///< slots across all waves
-  std::atomic<std::uint64_t> waveFailures{0};  ///< waves with >= 1 failed slot
-  std::atomic<std::uint64_t> parseErrors{0};   ///< HTTP-level 4xx
+  /// Requests whose deadline passed before their evaluation started (504s).
+  std::atomic<std::uint64_t> deadlineExpired{0};
+  std::atomic<std::uint64_t> parseErrors{0};  ///< HTTP-level 4xx
 
   // Resilience / degradation. brownoutTier is a gauge (0 = normal, 1 = shed
   // stochastic envelopes, 2 = cache-hits-only, 3 = full drain); the rest are
@@ -105,6 +100,8 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> shedStochastic{0};  ///< envelopes stripped
   std::atomic<std::uint64_t> shedCold{0};        ///< cold requests 503'd
   std::atomic<std::uint64_t> searchPeerDisconnects{0};
+  /// Evaluate requests with >= 1 failed slot (a brown-out input).
+  std::atomic<std::uint64_t> evaluateFailures{0};
 
   // Monte-Carlo load: runs/trials served and the wall time spent inside
   // runTrials, split by whether the compiled TrialPlan path was taken.

@@ -5,11 +5,11 @@
 namespace stordep::service::resilience {
 
 int BrownoutController::tick(double queuePressure,
-                             std::uint64_t failedWavesDelta) {
+                             std::uint64_t failedRequestsDelta) {
   const bool hot = queuePressure >= options_.enterPressure ||
-                   failedWavesDelta >= options_.failedWavesToEscalate;
+                   failedRequestsDelta >= options_.failedWavesToEscalate;
   const bool cool =
-      queuePressure <= options_.exitPressure && failedWavesDelta == 0;
+      queuePressure <= options_.exitPressure && failedRequestsDelta == 0;
 
   if (hot) {
     ++hotStreak_;

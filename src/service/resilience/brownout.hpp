@@ -1,6 +1,6 @@
 // brownout.hpp — tiered load-shedding state machine for the server.
 //
-// Under sustained overload or repeated batcher failures the server should
+// Under sustained overload or repeated evaluation failures the server should
 // degrade in steps rather than fall over: each tier sheds the most
 // expensive remaining work first, and recovery walks back down with
 // hysteresis so the server does not flap at the boundary.
@@ -15,11 +15,12 @@
 //   tier 3 — full drain: every API request gets 503 + Retry-After.
 //
 // The controller is pure logic driven by the server's event-loop tick: it
-// sees a pressure sample in [0, 1] (queue occupancy) and the number of
-// failed waves since the last tick, and escalates after `ticksToEscalate`
-// consecutive hot ticks (or a burst of failed waves), de-escalates one
-// tier after `ticksToRecover` consecutive cool ticks. No clock, no
-// threads — trivially unit-testable; the caller provides the cadence.
+// sees a pressure sample in [0, 1] (admitted evaluate slots over their
+// bound) and the number of evaluate requests with failed slots since the
+// last tick, and escalates after `ticksToEscalate` consecutive hot ticks
+// (or a burst of failed requests), de-escalates one tier after
+// `ticksToRecover` consecutive cool ticks. No clock, no threads —
+// trivially unit-testable; the caller provides the cadence.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,9 @@ struct BrownoutOptions {
   double exitPressure = 0.25;
   int ticksToEscalate = 3;
   int ticksToRecover = 5;
-  /// Failed waves within one tick that count as an immediate hot tick
-  /// (batcher trouble escalates even when the queue looks shallow).
+  /// Evaluate requests with >= 1 failed slot within one tick that count as
+  /// an immediate hot tick (engine trouble escalates even when admission
+  /// looks shallow).
   std::uint64_t failedWavesToEscalate = 3;
   int maxTier = 3;
 };
@@ -46,9 +48,10 @@ class BrownoutController {
       : options_(options) {}
 
   /// One observation; returns the (possibly new) tier. `queuePressure` is
-  /// the admission queue occupancy in [0, 1]; `failedWavesDelta` the waves
-  /// with >= 1 failed slot since the previous tick.
-  int tick(double queuePressure, std::uint64_t failedWavesDelta);
+  /// the admitted evaluate slots over their bound, in [0, 1];
+  /// `failedRequestsDelta` the evaluate requests with >= 1 failed slot
+  /// since the previous tick.
+  int tick(double queuePressure, std::uint64_t failedRequestsDelta);
 
   [[nodiscard]] int tier() const noexcept {
     return forcedTier_ >= 0 ? forcedTier_ : tier_;

@@ -176,13 +176,7 @@ void Server::start() {
   ev.data.fd = wakeFd_;
   epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev);
 
-  batcher_ = std::make_unique<Batcher>(
-      *engine_,
-      Batcher::Options{.maxQueueSlots = options_.maxQueueSlots,
-                       .maxWaveSlots = options_.maxWaveSlots,
-                       .linger = options_.batchLinger,
-                       .maxRetries = options_.maxRetries},
-      &metrics_);
+  pool_ = std::make_unique<engine::ThreadPool>(engine_->threads());
 
   running_.store(true, std::memory_order_release);
   loopThread_ = std::thread([this] { loop(); });
@@ -210,7 +204,14 @@ void Server::shutdown() {
   requestShutdown();
   if (loopThread_.joinable()) loopThread_.join();
   std::call_once(shutdownOnce_, [this] {
-    if (batcher_) batcher_->stop();
+    // Admission now answers kStopped; the pool's destructor runs every
+    // admitted request to completion before joining its workers.
+    std::unique_ptr<engine::ThreadPool> pool;
+    {
+      std::lock_guard<std::mutex> lock(poolMu_);
+      pool = std::move(pool_);
+    }
+    pool.reset();
     {
       std::lock_guard<std::mutex> lock(searchThreadsMu_);
       for (std::thread& thread : searchThreads_) {
@@ -302,13 +303,13 @@ void Server::brownoutTick() {
     lastBrownoutTick_ = now;
     const double capacity = static_cast<double>(
         std::max<std::size_t>(1, options_.maxQueueSlots));
-    const double queued = static_cast<double>(std::max<std::int64_t>(
-        0, metrics_.queuedSlots.load(std::memory_order_relaxed)));
-    const double pressure = std::min(1.0, queued / capacity);
-    const std::uint64_t failedWaves =
-        metrics_.waveFailures.load(std::memory_order_relaxed);
-    const std::uint64_t delta = failedWaves - lastWaveFailures_;
-    lastWaveFailures_ = failedWaves;
+    const double admitted = static_cast<double>(std::max<std::int64_t>(
+        0, metrics_.inFlightSlots.load(std::memory_order_relaxed)));
+    const double pressure = std::min(1.0, admitted / capacity);
+    const std::uint64_t failures =
+        metrics_.evaluateFailures.load(std::memory_order_relaxed);
+    const std::uint64_t delta = failures - lastEvaluateFailures_;
+    lastEvaluateFailures_ = failures;
     brownout_.tick(pressure, delta);
   }
   metrics_.brownoutTier.store(brownout_.tier(), std::memory_order_relaxed);
@@ -317,7 +318,7 @@ void Server::brownoutTick() {
 }
 
 bool Server::drainComplete() const {
-  return conns_.empty() && batcher_->queuedSlots() == 0 &&
+  return conns_.empty() &&
          metrics_.inFlightSlots.load(std::memory_order_relaxed) == 0 &&
          metrics_.activeSearches.load(std::memory_order_relaxed) == 0;
 }
@@ -538,6 +539,66 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
 
 // ---- /v1/evaluate ----------------------------------------------------------
 
+/// One admitted /v1/evaluate request: everything its pool task needs, held
+/// by value (the loop thread may close the connection before it lands).
+struct Server::EvaluateJob {
+  std::uint64_t connId = 0;
+  bool keepAlive = true;
+  bool arrayShape = false;
+  bool shedStochastic = false;  ///< brown-out tier >= 1 when parsed
+  std::vector<EvaluateItem> items;
+  engine::CancellationToken token;
+  std::chrono::steady_clock::time_point start;
+};
+
+namespace {
+
+/// One item's answer: its JSON, and the status a single-body request
+/// answers with.
+struct ItemReply {
+  int status = 200;
+  Json body;
+};
+
+/// The one encoder behind both response shapes: the evaluation envelope
+/// plus, when asked for, its Monte-Carlo envelope (or the brown-out shed
+/// body) — or the item's error document.
+[[nodiscard]] ItemReply encodeItem(const EvaluateItem& item,
+                                   const engine::EvalOutcome& outcome,
+                                   bool shedStochastic,
+                                   const engine::CancellationToken& token,
+                                   ServiceMetrics& metrics) {
+  if (!outcome.ok()) {
+    return {httpStatusFor(outcome.error().code),
+            evalErrorToJson(outcome.error())};
+  }
+  Json body = evaluationToJson(*item.design, item.scenario, outcome.value());
+  if (!item.stochastic) return {200, std::move(body)};
+  if (shedStochastic) {
+    metrics.shedStochastic.fetch_add(1, std::memory_order_relaxed);
+    body.set("stochastic",
+             serviceErrorBody("unavailable",
+                              "stochastic envelopes shed under brown-out"));
+    return {200, std::move(body)};
+  }
+  StochasticRunStats runStats;
+  Json envelope = stochasticEnvelope(*item.design, item.scenario,
+                                     *item.stochastic, &runStats, token);
+  // A run the request's deadline cut short fails the whole item, as an
+  // evaluation that missed it does.
+  if (runStats.cancelled) {
+    return {httpStatusFor(token.reason()), std::move(envelope)};
+  }
+  if (runStats.trials > 0) {
+    metrics.recordStochastic(runStats.trials, runStats.wallSeconds,
+                             runStats.usedPlan);
+  }
+  body.set("stochastic", std::move(envelope));
+  return {200, std::move(body)};
+}
+
+}  // namespace
+
 void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   const auto start = std::chrono::steady_clock::now();
 
@@ -551,7 +612,6 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   }
 
   const int tier = options_.brownoutEnabled ? brownout_.tier() : 0;
-  const bool shedStochastic = tier >= 1;
 
   // Body "deadlineMs" uses 0 as "unset"; an explicit X-Deadline-Ms header
   // always wins, and an explicit 0 there means "already expired" — the
@@ -573,115 +633,16 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   if (!explicitDeadline) deadline = options_.defaultDeadline;
   if (deadline > options_.maxDeadline) deadline = options_.maxDeadline;
 
-  Batcher::Job job;
-  job.requests.reserve(parsed.items.size());
-  for (const EvaluateItem& item : parsed.items) {
-    job.requests.push_back(toEngineRequest(item));
-  }
+  auto job = std::make_shared<EvaluateJob>();
+  job->connId = conn.id;
+  job->keepAlive = request.keepAlive();
+  job->arrayShape = parsed.array;
+  job->shedStochastic = tier >= 1;
+  job->items = std::move(parsed.items);
+  job->start = start;
   if (explicitDeadline || deadline.count() > 0) {
-    job.token = engine::CancellationToken{}.withDeadline(deadline);
+    job->token = engine::CancellationToken{}.withDeadline(deadline);
   }
-
-  // Everything the completion needs, captured by value: the loop thread may
-  // close the connection before the wave lands.
-  const std::uint64_t connId = conn.id;
-  const bool keepAlive = request.keepAlive();
-  const bool arrayShape = parsed.array;
-  auto items = std::make_shared<std::vector<EvaluateItem>>(
-      std::move(parsed.items));
-  job.done = [this, connId, keepAlive, arrayShape, items, start,
-              shedStochastic](
-                 std::vector<engine::EvalOutcome> outcomes,
-                 const engine::EngineStats& stats) {
-    HttpResponse response;
-    response.headers.emplace_back("Content-Type", "application/json");
-    if (!arrayShape) {
-      const engine::EvalOutcome& outcome = outcomes.front();
-      if (outcome.ok()) {
-        response.status = 200;
-        Json body = evaluationToJson(*(*items)[0].design,
-                                     (*items)[0].scenario, outcome.value());
-        if ((*items)[0].stochastic) {
-          if (shedStochastic) {
-            metrics_.shedStochastic.fetch_add(1, std::memory_order_relaxed);
-            body.set("stochastic",
-                     serviceErrorBody(
-                         "unavailable",
-                         "stochastic envelopes shed under brown-out"));
-          } else {
-            StochasticRunStats runStats;
-            body.set("stochastic",
-                     stochasticEnvelope(*(*items)[0].design,
-                                        (*items)[0].scenario,
-                                        *(*items)[0].stochastic, &runStats));
-            if (runStats.trials > 0) {
-              metrics_.recordStochastic(runStats.trials, runStats.wallSeconds,
-                                        runStats.usedPlan);
-            }
-          }
-        }
-        response.body = body.dump();
-      } else {
-        response.status = httpStatusFor(outcome.error().code);
-        response.body = evalErrorToJson(outcome.error()).dump();
-        if (response.status == 503) {
-          response.headers.emplace_back(
-              "Retry-After", std::to_string(options_.retryAfterSeconds));
-        }
-      }
-    } else {
-      JsonArray results;
-      results.reserve(outcomes.size());
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].ok()) {
-          Json entry = evaluationToJson(*(*items)[i].design,
-                                        (*items)[i].scenario,
-                                        outcomes[i].value());
-          if ((*items)[i].stochastic) {
-            if (shedStochastic) {
-              metrics_.shedStochastic.fetch_add(1,
-                                                std::memory_order_relaxed);
-              entry.set("stochastic",
-                        serviceErrorBody(
-                            "unavailable",
-                            "stochastic envelopes shed under brown-out"));
-            } else {
-              StochasticRunStats runStats;
-              entry.set("stochastic",
-                        stochasticEnvelope(*(*items)[i].design,
-                                           (*items)[i].scenario,
-                                           *(*items)[i].stochastic,
-                                           &runStats));
-              if (runStats.trials > 0) {
-                metrics_.recordStochastic(runStats.trials,
-                                          runStats.wallSeconds,
-                                          runStats.usedPlan);
-              }
-            }
-          }
-          results.push_back(std::move(entry));
-        } else {
-          results.push_back(evalErrorToJson(outcomes[i].error()));
-        }
-      }
-      Json statsJson{JsonObject{}};
-      statsJson.set("requests", Json(static_cast<double>(stats.requests)));
-      statsJson.set("cacheHits", Json(static_cast<double>(stats.cacheHits)));
-      statsJson.set("evaluations",
-                    Json(static_cast<double>(stats.evaluations)));
-      statsJson.set("failed", Json(static_cast<double>(stats.failed)));
-      statsJson.set("cancelled", Json(static_cast<double>(stats.cancelled)));
-      Json body{JsonObject{}};
-      body.set("results", Json(std::move(results)));
-      body.set("stats", statsJson);
-      response.status = 200;
-      response.body = body.dump();
-    }
-    metrics_.evaluate.record(response.status,
-                             std::chrono::steady_clock::now() - start);
-    queueCompletion(connId, serializeResponse(response, keepAlive),
-                    /*thenClose=*/!keepAlive);
-  };
 
   // Cluster routing, checked before local brown-out shedding (the owner
   // applies its own): a single-evaluation request whose owner shard is a
@@ -690,61 +651,40 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   // computed where it lands, so two momentarily divergent rings cannot
   // bounce a request back and forth.
   if (ClusterHooks* cluster = cluster_.load(std::memory_order_acquire);
-      cluster != nullptr && items->size() == 1 &&
+      cluster != nullptr && job->items.size() == 1 &&
       request.header("x-stordep-forwarded") == nullptr) {
     std::string ownerId;
     const engine::Fingerprint key = engine::fingerprintEvaluation(
-        *(*items)[0].design, (*items)[0].scenario);
+        *job->items[0].design, job->items[0].scenario);
     if (!cluster->ownsEvaluation(key, &ownerId)) {
       conn.waiting = true;  // paused until the forward (or fallback) lands
-      auto jobPtr = std::make_shared<Batcher::Job>(std::move(job));
       cluster->forwardEvaluate(
-          ownerId, request.body,
-          [this, connId, keepAlive, start, jobPtr](ForwardReply reply) {
+          ownerId, request.body, [this, job](ForwardReply reply) {
+            HttpResponse response;
+            response.headers.emplace_back("Content-Type", "application/json");
             if (reply.ok) {
               // Re-frame the owner's envelope verbatim: byte-identical to
               // what this node would have produced for the same body.
-              HttpResponse response;
               response.status = reply.status;
-              response.headers.emplace_back("Content-Type",
-                                            "application/json");
               response.body = std::move(reply.body);
-              metrics_.evaluate.record(
-                  response.status, std::chrono::steady_clock::now() - start);
-              queueCompletion(connId, serializeResponse(response, keepAlive),
-                              /*thenClose=*/!keepAlive);
-              return;
-            }
-            // Owner degraded: compute locally (submit is thread-safe; the
-            // job's own `done` completes the connection).
-            const auto answer = [&](int status, const std::string& code,
-                                    const std::string& message) {
-              HttpResponse response;
-              response.status = status;
-              response.headers.emplace_back("Content-Type",
-                                            "application/json");
+            } else {
+              // Owner degraded: compute locally (the task answers). After
+              // kStopped the loop has exited: there is nobody to answer.
+              if (submitEvaluate(job) != Admission::kQueueFull) return;
+              metrics_.rejectedQueueFull.fetch_add(1,
+                                                   std::memory_order_relaxed);
+              response.status = 429;
               response.headers.emplace_back(
                   "Retry-After", std::to_string(options_.retryAfterSeconds));
-              response.body = serviceErrorBody(code, message).dump();
-              metrics_.evaluate.record(
-                  status, std::chrono::steady_clock::now() - start);
-              queueCompletion(connId, serializeResponse(response, keepAlive),
-                              /*thenClose=*/!keepAlive);
-            };
-            switch (batcher_->submit(std::move(*jobPtr))) {
-              case Batcher::Submit::kAccepted:
-                return;
-              case Batcher::Submit::kQueueFull:
-                metrics_.rejectedQueueFull.fetch_add(
-                    1, std::memory_order_relaxed);
-                answer(429, "queue-full", "evaluation queue is full");
-                return;
-              case Batcher::Submit::kShuttingDown:
-                metrics_.rejectedDraining.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                answer(503, "draining", "server is shutting down");
-                return;
+              response.body =
+                  serviceErrorBody("queue-full", "evaluation queue is full")
+                      .dump();
             }
+            metrics_.evaluate.record(
+                response.status, std::chrono::steady_clock::now() - job->start);
+            queueCompletion(job->connId,
+                            serializeResponse(response, job->keepAlive),
+                            /*thenClose=*/!job->keepAlive);
           });
       return;
     }
@@ -752,8 +692,8 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
 
   // Brown-out shedding. Tier 3 drops everything; tier 2 admits only
   // requests every item of which is already cached (the probe itself
-  // refreshes the entries' LRU position); tier 1 is handled in the
-  // completion by stripping stochastic envelopes.
+  // refreshes the entries' LRU position); tier 1 is handled by the task,
+  // which strips stochastic envelopes.
   if (tier >= 3) {
     metrics_.shedCold.fetch_add(1, std::memory_order_relaxed);
     metrics_.evaluate.record(503, std::chrono::steady_clock::now() - start);
@@ -764,7 +704,7 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   if (tier >= 2) {
     bool allWarm = true;
     try {
-      for (const EvaluateItem& item : *items) {
+      for (const EvaluateItem& item : job->items) {
         const engine::Fingerprint key =
             engine::fingerprintEvaluation(*item.design, item.scenario);
         if (!engine_->cache().lookup(key)) {
@@ -787,23 +727,110 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
     }
   }
 
-  switch (batcher_->submit(std::move(job))) {
-    case Batcher::Submit::kAccepted:
-      conn.waiting = true;  // responses stay in order: pause this connection
-      return;
-    case Batcher::Submit::kQueueFull:
-      metrics_.rejectedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      metrics_.evaluate.record(429, std::chrono::steady_clock::now() - start);
-      sendError(conn, 429, "queue-full", "evaluation queue is full",
-                /*retryAfter=*/true);
-      return;
-    case Batcher::Submit::kShuttingDown:
-      metrics_.rejectedDraining.fetch_add(1, std::memory_order_relaxed);
-      metrics_.evaluate.record(503, std::chrono::steady_clock::now() - start);
-      sendError(conn, 503, "draining", "server is shutting down",
-                /*retryAfter=*/true);
-      return;
+  // kStopped cannot happen here: the pool stops only after the loop exits.
+  if (submitEvaluate(std::move(job)) == Admission::kAccepted) {
+    conn.waiting = true;  // responses stay in order: pause this connection
+    return;
   }
+  metrics_.rejectedQueueFull.fetch_add(1, std::memory_order_relaxed);
+  metrics_.evaluate.record(429, std::chrono::steady_clock::now() - start);
+  sendError(conn, 429, "queue-full", "evaluation queue is full",
+            /*retryAfter=*/true);
+}
+
+Server::Admission Server::submitEvaluate(
+    std::shared_ptr<const EvaluateJob> job) {
+  const auto slots = static_cast<std::int64_t>(job->items.size());
+  std::lock_guard<std::mutex> lock(poolMu_);
+  if (pool_ == nullptr) return Admission::kStopped;
+  // Tasks only ever release slots, so checking under the lock and adding
+  // after cannot overshoot the bound.
+  if (metrics_.inFlightSlots.load(std::memory_order_relaxed) + slots >
+      static_cast<std::int64_t>(options_.maxQueueSlots)) {
+    return Admission::kQueueFull;
+  }
+  metrics_.inFlightSlots.fetch_add(slots, std::memory_order_relaxed);
+  // The future is dropped: runEvaluate answers through queueCompletion and
+  // lets nothing escape.
+  (void)pool_->submit([this, job = std::move(job)] { runEvaluate(*job); });
+  return Admission::kAccepted;
+}
+
+void Server::runEvaluate(const EvaluateJob& job) {
+  const std::size_t slots = job.items.size();
+  HttpResponse response;
+  response.headers.emplace_back("Content-Type", "application/json");
+  try {
+    engine::BatchResult batch;
+    if (job.token.cancelled()) {
+      // Expired while queued: answer with the token's structured error
+      // without spending engine work on it.
+      metrics_.deadlineExpired.fetch_add(1, std::memory_order_relaxed);
+      batch.results.assign(slots, engine::EvalOutcome(job.token.toError()));
+      batch.stats.requests = slots;
+      batch.stats.cancelled = slots;
+    } else {
+      std::vector<engine::EvalRequest> requests;
+      requests.reserve(slots);
+      for (const EvaluateItem& item : job.items) {
+        requests.push_back(toEngineRequest(item));
+      }
+      engine::BatchOptions batchOptions;
+      batchOptions.token = job.token;
+      batchOptions.maxRetries = options_.maxRetries;
+      batch = engine_->evaluateBatch(requests, batchOptions);
+      if (batch.stats.failed > 0) {
+        // Feeds the brown-out controller: a streak of failing requests
+        // escalates degradation even when admission looks shallow.
+        metrics_.evaluateFailures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+
+    if (!job.arrayShape) {
+      ItemReply reply = encodeItem(job.items[0], batch.results[0],
+                                   job.shedStochastic, job.token, metrics_);
+      response.status = reply.status;
+      response.body = reply.body.dump();
+      if (response.status == 503) {
+        response.headers.emplace_back(
+            "Retry-After", std::to_string(options_.retryAfterSeconds));
+      }
+    } else {
+      JsonArray results;
+      results.reserve(slots);
+      for (std::size_t i = 0; i < slots; ++i) {
+        results.push_back(encodeItem(job.items[i], batch.results[i],
+                                     job.shedStochastic, job.token, metrics_)
+                              .body);
+      }
+      const engine::EngineStats& stats = batch.stats;
+      Json statsJson{JsonObject{}};
+      statsJson.set("requests", Json(static_cast<double>(stats.requests)));
+      statsJson.set("cacheHits", Json(static_cast<double>(stats.cacheHits)));
+      statsJson.set("evaluations",
+                    Json(static_cast<double>(stats.evaluations)));
+      statsJson.set("failed", Json(static_cast<double>(stats.failed)));
+      statsJson.set("cancelled", Json(static_cast<double>(stats.cancelled)));
+      Json body{JsonObject{}};
+      body.set("results", Json(std::move(results)));
+      body.set("stats", statsJson);
+      response.status = 200;
+      response.body = body.dump();
+    }
+  } catch (...) {
+    // Nothing may escape into the dropped future: the connection would
+    // never be answered and its slots never released.
+    response.status = 500;
+    response.body = evalErrorToJson(engine::errorFromCurrentException()).dump();
+  }
+  metrics_.evaluate.record(response.status,
+                           std::chrono::steady_clock::now() - job.start);
+  // Released before the answer is queued, so a client holding its answer
+  // never finds its slots still counted against admission.
+  metrics_.inFlightSlots.fetch_sub(static_cast<std::int64_t>(slots),
+                                   std::memory_order_relaxed);
+  queueCompletion(job.connId, serializeResponse(response, job.keepAlive),
+                  /*thenClose=*/!job.keepAlive);
 }
 
 // ---- /v1/search ------------------------------------------------------------

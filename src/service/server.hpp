@@ -3,36 +3,41 @@
 // A Server turns the in-process engine into a long-running HTTP/1.1
 // service:
 //
-//   POST /v1/evaluate  one {design, scenario} pair or an array of them;
-//                      concurrent requests coalesce into shared
-//                      Engine::evaluateBatch waves (service/batcher.hpp)
-//                      over one EvalCache/DemandCache.
+//   POST /v1/evaluate  one {design, scenario} pair or an array of them,
+//                      evaluated as one Engine::evaluateBatch call over the
+//                      process-wide EvalCache/DemandCache.
 //   POST /v1/search    a design-space sweep; progress streams back as
 //                      chunked NDJSON, one line per streamChunk wave.
 //   GET  /metrics      lifetime + per-interval counters (service/metrics).
 //   GET  /healthz      {"status": "ok" | "draining"}.
 //
 // Architecture: one event-loop thread owns the listening socket, an epoll
-// instance, and every connection's read/parse/write state; one batcher
-// thread owns engine dispatch; search requests each get a short-lived
-// worker thread that writes its chunked response directly (the connection
-// is detached from the loop first). Completions cross back onto the loop
-// through a mutex-guarded queue plus an eventfd wake — the loop thread is
-// the only one that touches connection state.
+// instance, and every connection's read/parse/write state. Each admitted
+// evaluate request becomes one task on a thread pool the server owns
+// (sized from the engine's thread count): the task evaluates that
+// request's pairs, runs their Monte-Carlo envelopes and encodes the
+// response. Search requests each get a short-lived worker thread that
+// writes its chunked response directly (the connection is detached from
+// the loop first). Responses cross back onto the loop through a
+// mutex-guarded queue plus a pipe wake — the loop thread is the only one
+// that touches connection state.
 //
 // Admission control: a connection cap (excess accepts get an immediate
-// 503), a bounded evaluate queue in slots (429 + Retry-After when full), a
-// search concurrency cap (503 + Retry-After), and per-request deadlines
+// 503), a bound on evaluate slots admitted and not yet answered (an array
+// of N pairs holds N; 429 + Retry-After past maxQueueSlots), a search
+// concurrency cap (503 + Retry-After), and per-request deadlines
 // (X-Deadline-Ms header or "deadlineMs" body field, clamped to
-// maxDeadline) mapped onto engine CancellationTokens — an expired request
-// answers 504 with the engine's structured deadline-exceeded error while
-// the rest of its wave completes normally.
+// maxDeadline) mapped onto engine CancellationTokens — a request whose
+// deadline has passed when its task starts answers 504 with the engine's
+// structured deadline-exceeded error without reaching the engine, and a
+// Monte-Carlo run the deadline cuts short answers the same way.
 //
-// Shutdown: requestShutdown() is async-signal-safe (atomic flag + eventfd
+// Shutdown: requestShutdown() is async-signal-safe (atomic flag + pipe
 // write); the loop then stops accepting, lets in-flight requests finish,
-// answers anything newly parsed with 503 + Retry-After, drains the batcher
-// and the search workers, and exits. shutdown() does the same
-// synchronously and joins every thread; the destructor calls it.
+// answers anything newly parsed with 503 + Retry-After, waits for the
+// admitted evaluate slots and the search workers, and exits. shutdown()
+// does the same synchronously and joins every thread; the destructor
+// calls it.
 #pragma once
 
 #include <atomic>
@@ -46,7 +51,6 @@
 #include <vector>
 
 #include "engine/batch.hpp"
-#include "service/batcher.hpp"
 #include "service/cluster_hooks.hpp"
 #include "service/http.hpp"
 #include "service/metrics.hpp"
@@ -65,10 +69,10 @@ struct ServerOptions {
 
   HttpLimits limits;
   std::size_t maxConnections = 512;
+  /// Evaluate slots (one per pair) admitted and not yet answered; a request
+  /// that would exceed it gets 429 + Retry-After.
   std::size_t maxQueueSlots = 1024;
-  std::size_t maxWaveSlots = 256;
-  std::chrono::microseconds batchLinger{200};
-  int maxRetries = 0;
+  int maxRetries = 0;  ///< engine retry budget for transient failures
 
   /// Deadline applied when a request names none (0 = none), and the cap on
   /// what a client may ask for.
@@ -79,9 +83,10 @@ struct ServerOptions {
   int retryAfterSeconds = 1;  ///< advertised on 429/503
 
   /// Tiered load shedding under sustained overload (resilience/brownout).
-  /// The controller ticks on the event loop's cadence, watching queue
-  /// pressure and failed waves; tiers shed stochastic envelopes, then cold
-  /// requests, then everything (see BrownoutOptions).
+  /// The controller ticks on the event loop's cadence, watching admitted
+  /// slots against maxQueueSlots and evaluate requests with failed slots;
+  /// tiers shed stochastic envelopes, then cold requests, then everything
+  /// (see BrownoutOptions).
   bool brownoutEnabled = true;
   resilience::BrownoutOptions brownout;
   std::chrono::milliseconds brownoutTickInterval{100};
@@ -99,7 +104,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the event-loop + batcher threads. Throws
+  /// Binds, listens and starts the event loop and the evaluate pool. Throws
   /// std::runtime_error on socket/bind failure.
   void start();
 
@@ -154,6 +159,8 @@ class Server {
 
  private:
   struct Connection;
+  struct EvaluateJob;
+  enum class Admission { kAccepted, kQueueFull, kStopped };
 
   void loop();
   void acceptConnections();
@@ -162,6 +169,13 @@ class Server {
   void processBuffer(Connection& conn);
   void dispatch(Connection& conn, HttpRequest request);
   void handleEvaluate(Connection& conn, const HttpRequest& request);
+  /// Thread-safe: admits `job` against maxQueueSlots and queues it on the
+  /// evaluate pool. kStopped once shutdown() has released the pool, which
+  /// happens only after the event loop exited.
+  [[nodiscard]] Admission submitEvaluate(
+      std::shared_ptr<const EvaluateJob> job);
+  /// Pool task: evaluates, encodes and answers one admitted request.
+  void runEvaluate(const EvaluateJob& job);
   void handleSearch(Connection& conn, const HttpRequest& request);
   void runSearch(int fd, std::uint64_t connId, std::string bodyText);
   void sendResponse(Connection& conn, const HttpResponse& response,
@@ -181,7 +195,13 @@ class Server {
   std::unique_ptr<engine::Engine> ownedEngine_;
   engine::Engine* engine_ = nullptr;
   ServiceMetrics metrics_;
-  std::unique_ptr<Batcher> batcher_;
+  /// Runs admitted evaluate requests, one task each, sized like the engine.
+  /// Not the engine's own pool: that one has threads − 1 workers and counts
+  /// on each caller joining its parallelFor, so request tasks queued there
+  /// would take the workers their own fan-outs need. poolMu_ orders
+  /// admission against shutdown() releasing the pool.
+  std::mutex poolMu_;
+  std::unique_ptr<engine::ThreadPool> pool_;
   std::atomic<ClusterHooks*> cluster_{nullptr};
 
   int listenFd_ = -1;
@@ -204,13 +224,13 @@ class Server {
   resilience::BrownoutController brownout_{};
   std::atomic<int> pendingForcedTier_{-2};
   std::chrono::steady_clock::time_point lastBrownoutTick_{};
-  std::uint64_t lastWaveFailures_ = 0;
+  std::uint64_t lastEvaluateFailures_ = 0;
 
   std::uint64_t nextConnId_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<int, std::uint64_t> fdToConn_;
 
-  // Cross-thread completion queue (batcher / search workers → loop).
+  // Cross-thread completion queue (evaluate tasks, cluster router → loop).
   std::mutex completionsMu_;
   struct Completion {
     std::uint64_t connId;

@@ -3,12 +3,19 @@
 //   * a 64-connection burst over the shared cache answers bit-identically
 //     to serial in-process evaluation;
 //   * an expired per-request deadline returns a structured 504 carrying the
-//     engine's own taxonomy code while concurrent requests complete;
+//     engine's own taxonomy code while concurrent requests complete, and a
+//     deadline that cuts a Monte-Carlo run short answers the same way;
+//   * a plain request is not queued behind another connection's
+//     Monte-Carlo run;
 //   * shutdown() drains in-flight work before the server stops;
-//   * admission control (oversized jobs → 429, draining → 503), routing
-//     errors, /healthz and /metrics;
+//   * admission control (oversized jobs and slots still in flight → 429,
+//     draining → 503), routing errors, /healthz and /metrics;
+//   * array responses report only their own engine stats;
 //   * a verify/gen-seeded fuzz pass round-tripping random evaluate payloads
 //     through the server against the in-process engine, byte for byte.
+//
+// Work is held in flight by injected evaluation latency (a FaultInjector
+// that slows kEvaluate and never fails it), not by timing races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +27,7 @@
 #include "config/design_io.hpp"
 #include "engine/batch.hpp"
 #include "engine/eval_cache.hpp"
+#include "engine/fault_injection.hpp"
 #include "engine/fingerprint.hpp"
 #include "service/client.hpp"
 #include "service/json_api.hpp"
@@ -133,6 +141,39 @@ std::vector<Pair> makePairs() {
   return pairs;
 }
 
+/// Slows every evaluation by `latency` and fails none: holds requests in
+/// flight for as long as a test needs.
+std::shared_ptr<engine::FaultInjector> evaluateLatency(
+    std::chrono::milliseconds latency) {
+  engine::FaultPlan plan;
+  plan.sites = engine::faultSiteBit(engine::FaultSite::kEvaluate);
+  plan.probability = 0.0;
+  plan.latency = latency;
+  return std::make_shared<engine::FaultInjector>(plan);
+}
+
+/// A request at the 65,536-trial cap on the 1-link async-batch mirror
+/// design of Table 7. On a 4-vCPU host its Monte-Carlo run takes ~100 ms;
+/// the plain evaluation of the same pair takes well under a millisecond.
+std::string monteCarloPayload() {
+  Json payload{JsonObject{}};
+  payload.set("design", config::designToJson(cs::asyncBatchMirror(1)));
+  payload.set("scenario", config::scenarioToJson(cs::arrayFailure()));
+  Json stochastic{JsonObject{}};
+  stochastic.set("trials", Json(65'536));
+  payload.set("stochastic", stochastic);
+  return payload.dump();
+}
+
+std::string arrayOf(const std::vector<Pair>& pairs, std::size_t count) {
+  std::string array = "[";
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) array += ",";
+    array += pairs[i % pairs.size()].payload;
+  }
+  return array + "]";
+}
+
 // ---- Burst: 64 connections, bit-identical to serial ------------------------
 
 TEST(ServiceLoopback, BurstOf64ConnectionsBitIdenticalToSerial) {
@@ -183,9 +224,10 @@ TEST(ServiceLoopback, ExpiredDeadlineReturns504WhileOthersComplete) {
   const std::vector<Pair> pairs = makePairs();
   ServerOptions options;
   options.engineThreads = 2;
-  // A generous linger so the expired request shares a wave with live ones.
-  options.batchLinger = std::chrono::microseconds{2000};
   Server server(options);
+  // Live requests stay in flight while the expired one is answered.
+  server.engine().setFaultInjector(
+      evaluateLatency(std::chrono::milliseconds(20)));
   server.start();
 
   std::atomic<int> okCount{0};
@@ -218,16 +260,98 @@ TEST(ServiceLoopback, ExpiredDeadlineReturns504WhileOthersComplete) {
   server.shutdown();
 }
 
+TEST(ServiceLoopback, DeadlineCutsMonteCarloRunWith504) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 2;
+  Server server(options);
+  server.start();
+  Client client("127.0.0.1", server.port());
+  // 20 ms: far above the plain evaluation, far below the Monte-Carlo run.
+  const HttpHeaders deadline{{"X-Deadline-Ms", "20"}};
+  const std::string deadlineCode =
+      engine::toString(engine::EvalErrorCode::kDeadlineExceeded);
+
+  const HttpClientResponse single =
+      client.post("/v1/evaluate", monteCarloPayload(), deadline);
+  EXPECT_EQ(single.status, 504);
+  const Json error = Json::parse(single.body).at("error");
+  EXPECT_EQ(error.at("code").asString(), deadlineCode);
+  // Cut inside the Monte-Carlo layer, not before the evaluation started.
+  EXPECT_NE(error.at("message").asString().find("stochastic run cancelled"),
+            std::string::npos)
+      << single.body;
+
+  // In an array the cut entry carries the error; its neighbour is served.
+  const HttpClientResponse array = client.post(
+      "/v1/evaluate", "[" + monteCarloPayload() + "," + pairs[0].payload + "]",
+      deadline);
+  EXPECT_EQ(array.status, 200);
+  const Json results = Json::parse(array.body).at("results");
+  ASSERT_EQ(results.asArray().size(), 2u);
+  EXPECT_EQ(results.asArray()[0].at("error").at("code").asString(),
+            deadlineCode);
+  EXPECT_EQ(results.asArray()[1].dump(), pairs[0].expectedBody);
+
+  EXPECT_EQ(server.metrics().deadlineExpired.load(), 0u);
+  server.shutdown();
+}
+
+// ---- Head-of-line blocking -------------------------------------------------
+
+TEST(ServiceLoopback, PlainRequestAnsweredBeforeConcurrentMonteCarloRun) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 2;
+  Server server(options);
+  server.start();
+
+  std::atomic<bool> monteCarloAnswered{false};
+  std::thread monteCarlo([&] {
+    Client client("127.0.0.1", server.port());
+    const HttpClientResponse response =
+        client.post("/v1/evaluate", monteCarloPayload());
+    monteCarloAnswered.store(true);
+    EXPECT_EQ(response.status, 200);
+    const Json body = Json::parse(response.body);
+    EXPECT_EQ(body.at("stochastic").find("error"), nullptr) << response.body;
+  });
+
+  // The Monte-Carlo request is admitted and unanswered...
+  Client observer("127.0.0.1", server.port());
+  bool inFlight = false;
+  while (!inFlight && !monteCarloAnswered.load()) {
+    const Json metrics = Json::parse(observer.get("/metrics").body);
+    inFlight = metrics.at("admission").at("inFlightSlots").asNumber() >= 1.0;
+  }
+  EXPECT_TRUE(inFlight);
+
+  // ...when a plain request arrives on another connection: it must not
+  // wait for the run.
+  Client plain("127.0.0.1", server.port());
+  const HttpClientResponse response =
+      plain.post("/v1/evaluate", pairs[0].payload);
+  const bool monteCarloFirst = monteCarloAnswered.load();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, pairs[0].expectedBody);
+  EXPECT_FALSE(monteCarloFirst)
+      << "the plain request was answered after the Monte-Carlo run";
+
+  monteCarlo.join();
+  server.shutdown();
+}
+
 // ---- Graceful drain --------------------------------------------------------
 
 TEST(ServiceLoopback, ShutdownDrainsInFlightRequests) {
   const std::vector<Pair> pairs = makePairs();
   ServerOptions options;
   options.engineThreads = 2;
-  // A long linger holds submitted jobs in the queue long enough for
-  // shutdown() to begin while they are genuinely in flight.
-  options.batchLinger = std::chrono::microseconds{50'000};
   Server server(options);
+  // Injected latency holds admitted requests long enough for shutdown() to
+  // begin while they are genuinely in flight.
+  server.engine().setFaultInjector(
+      evaluateLatency(std::chrono::milliseconds(50)));
   server.start();
 
   constexpr int kInFlight = 8;
@@ -288,6 +412,42 @@ TEST(ServiceLoopback, OversizedJobGets429WithRetryAfter) {
   server.shutdown();
 }
 
+TEST(ServiceLoopback, AdmissionCountsInFlightSlots) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 1;
+  options.maxQueueSlots = 2;
+  Server server(options);
+  server.engine().setFaultInjector(
+      evaluateLatency(std::chrono::milliseconds(100)));
+  server.start();
+
+  // A 2-slot array fills the budget for as long as it is in flight.
+  std::thread holder([&] {
+    Client client("127.0.0.1", server.port());
+    EXPECT_EQ(client.post("/v1/evaluate", arrayOf(pairs, 2)).status, 200);
+  });
+  while (server.metrics().inFlightSlots.load() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Client client("127.0.0.1", server.port());
+  const HttpClientResponse refused =
+      client.post("/v1/evaluate", pairs[2].payload);
+  EXPECT_EQ(refused.status, 429);
+  EXPECT_NE(refused.header("Retry-After"), nullptr);
+  EXPECT_EQ(Json::parse(refused.body).at("error").at("code").asString(),
+            "queue-full");
+
+  // Once the array is answered its slots are free again.
+  holder.join();
+  const HttpClientResponse retry =
+      client.post("/v1/evaluate", pairs[2].payload);
+  EXPECT_EQ(retry.status, 200);
+  EXPECT_EQ(retry.body, pairs[2].expectedBody);
+  server.shutdown();
+}
+
 TEST(ServiceLoopback, RoutingErrors) {
   Server server;
   server.start();
@@ -330,6 +490,39 @@ TEST(ServiceLoopback, BatchArrayRequestAndMetricsIntervals) {
             0.0);
   EXPECT_GE(second.at("evalCache").at("lifetime").at("probes").asNumber(),
             2.0);
+  server.shutdown();
+}
+
+TEST(ServiceLoopback, ConcurrentArraysReportOnlyTheirOwnStats) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 2;
+  Server server(options);
+  server.start();
+
+  constexpr std::size_t kLengths[] = {2, 5};
+  for (int round = 0; round < 10; ++round) {
+    std::atomic<int> ready{0};
+    std::vector<std::thread> senders;
+    for (const std::size_t length : kLengths) {
+      senders.emplace_back([&, length] {
+        Client client("127.0.0.1", server.port());
+        const std::string body = arrayOf(pairs, length);
+        // Both arrays leave at the same moment.
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        const HttpClientResponse response = client.post("/v1/evaluate", body);
+        EXPECT_EQ(response.status, 200);
+        const Json parsed = Json::parse(response.body);
+        EXPECT_EQ(parsed.at("results").asArray().size(), length);
+        EXPECT_EQ(parsed.at("stats").at("requests").asNumber(),
+                  static_cast<double>(length))
+            << "round " << round;
+      });
+    }
+    for (std::thread& sender : senders) sender.join();
+  }
   server.shutdown();
 }
 
