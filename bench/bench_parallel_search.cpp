@@ -6,7 +6,7 @@
 //  * the serial reference path (pre-engine: one thread, no cache);
 //  * engine-backed at 1/2/4/8 threads, cold cache (parallel speedup),
 //    pinned to the legacy cache-backed path (usePlan = false) so the
-//    memoization machinery keeps getting measured;
+//    EvalCache keeps getting measured;
 //  * the same engine again, warm cache (memoization hit rate);
 //  * the compiled-plan fast path (engine/plan.hpp): plan-routed sweeps
 //    (ranking parity with serial, speedup reported), plus the gated
@@ -199,8 +199,9 @@ int main() {
   // that the cursor reproduces enumerateDesignSpace exactly), and both the
   // cold and warm streaming rankings must be bit-identical to it. Cold
   // throughput is hardware-relative like the thread runs above — on one
-  // core the engine's cache bookkeeping roughly washes out against its
-  // partial-result reuse — so the hard guards are the machine-independent
+  // core the engine's cache bookkeeping roughly washes out against
+  // computing each candidate's scenario-independent sub-models once rather
+  // than once per scenario — so the hard guards are the machine-independent
   // contracts: no divergence, the warm (memoized) sweep beats serial, and
   // cold streaming stays within 30% of serial even with no cores to fan
   // out to.

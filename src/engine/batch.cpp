@@ -26,75 +26,7 @@ std::chrono::milliseconds backoffFor(const BatchOptions& options,
   }
   return std::min(delay, BatchOptions::kMaxRetryBackoff);
 }
-
-/// Which engine's write-behind buffers this thread currently holds. The
-/// epoch ties the cached pointer to one scope: registry teardown at scope
-/// close bumps the epoch, so a stale pointer is never dereferenced.
-struct ThreadWriteBehind {
-  const Engine* engine = nullptr;
-  std::uint64_t epoch = 0;
-  Engine::WriteBehindBuffers* buffers = nullptr;
-};
-thread_local ThreadWriteBehind tlsWriteBehind;
-
-/// Epochs are drawn from one process-wide counter, not per engine: a thread's
-/// cached buffer pointer is only trusted when (engine, epoch) both match, and
-/// a per-engine counter restarts at zero when an engine is destroyed and a
-/// new one is constructed at the same address — which would revalidate a
-/// dangling pointer into the dead engine's freed registry. A never-repeating
-/// epoch makes that impossible.
-std::atomic<std::uint64_t> writeBehindEpochSource{0};
 }  // namespace
-
-Engine::WriteBehindScope::WriteBehindScope(Engine& engine) : engine_(engine) {
-  // Degrade to a no-op (direct per-insert path) whenever buffering would
-  // change observable semantics or an outer scope already buffers.
-  if (engine.injector_ != nullptr || !engine.options_.useCache ||
-      engine.options_.writeBehindLimit == 0 ||
-      engine.writeBehindActive_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  engine.writeBehindEpoch_.store(
-      writeBehindEpochSource.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::memory_order_release);
-  engine.writeBehindActive_.store(true, std::memory_order_release);
-  active_ = true;
-}
-
-Engine::WriteBehindScope::~WriteBehindScope() {
-  if (!active_) return;
-  engine_.writeBehindActive_.store(false, std::memory_order_release);
-  engine_.mergeWriteBehind();
-}
-
-Engine::WriteBehindBuffers* Engine::writeBehindBuffers() {
-  if (!writeBehindActive_.load(std::memory_order_acquire)) return nullptr;
-  const std::uint64_t epoch = writeBehindEpoch_.load(std::memory_order_acquire);
-  ThreadWriteBehind& tls = tlsWriteBehind;
-  if (tls.engine == this && tls.epoch == epoch) return tls.buffers;
-  auto buffers = std::make_unique<WriteBehindBuffers>();
-  WriteBehindBuffers* raw = buffers.get();
-  {
-    const std::lock_guard<std::mutex> lock(writeBehindMu_);
-    writeBehindRegistry_.push_back(std::move(buffers));
-  }
-  tls = ThreadWriteBehind{this, epoch, raw};
-  return raw;
-}
-
-void Engine::mergeWriteBehind() {
-  // Runs on the scope-owning thread after every covered parallelFor has
-  // joined, so no worker can be appending concurrently.
-  std::vector<std::unique_ptr<WriteBehindBuffers>> registry;
-  {
-    const std::lock_guard<std::mutex> lock(writeBehindMu_);
-    registry.swap(writeBehindRegistry_);
-  }
-  for (const auto& buffers : registry) {
-    cache_.insertBatch(std::move(buffers->evalPending));
-    demandCache_.insertBatch(std::move(buffers->demandPending));
-  }
-}
 
 Engine::Engine(EngineOptions options)
     : options_(options),
@@ -136,8 +68,7 @@ EvalOutcome Engine::tryEvaluate(const StorageDesign& design,
 EvaluationResult Engine::evaluateKeyed(
     const StorageDesign& design, const FailureScenario& scenario,
     const Fingerprint& pairKey,
-    std::optional<DesignPrecomputation>& precomputed,
-    const DesignFingerprints* parts) {
+    std::optional<DesignPrecomputation>& precomputed) {
   if (options_.useCache) {
     // May throw an injected kCacheLookup fault; a lookup that cannot be
     // trusted must not silently serve a result.
@@ -146,35 +77,14 @@ EvaluationResult Engine::evaluateKeyed(
     }
   }
   if (injector_) injector_->maybeInject(FaultSite::kEvaluate, pairKey);
-  WriteBehindBuffers* writeBehind =
-      options_.useCache ? writeBehindBuffers() : nullptr;
-  if (!precomputed) {
-    // Demand-cache writes stay direct even under a write-behind scope:
-    // candidates *within* one sweep share protection levels, so a deferred
-    // level insert would make every sharer recompute it. Level inserts are
-    // rare (one per distinct level in the sweep), so the shard lock they
-    // take is noise; pair-result inserts below are the hot ones.
-    precomputed = parts != nullptr
-                      ? precomputeDesignCached(design, *parts, demandCache_)
-                      : precomputeDesign(design);
-  }
+  if (!precomputed) precomputed = precomputeDesign(design);
   EvaluationResult result = stordep::evaluate(design, scenario, *precomputed);
   if (options_.useCache) {
-    if (writeBehind != nullptr) {
-      // Deferred write: merged into the shared cache (bulk, one lock per
-      // shard) when the enclosing WriteBehindScope closes, or flushed here
-      // once the buffer hits its bound.
-      writeBehind->evalPending.emplace_back(pairKey, result);
-      if (writeBehind->evalPending.size() >= options_.writeBehindLimit) {
-        cache_.insertBatch(std::move(writeBehind->evalPending));
-      }
-    } else {
-      try {
-        cache_.insert(pairKey, result);
-      } catch (...) {
-        // Losing a cache write (injected kCacheInsert fault, allocation
-        // failure) never fails a request that already has its result.
-      }
+    try {
+      cache_.insert(pairKey, result);
+    } catch (...) {
+      // Losing a cache write (injected kCacheInsert fault, allocation
+      // failure) never fails a request that already has its result.
     }
   }
   return result;
@@ -184,13 +94,12 @@ EvalOutcome Engine::tryEvaluateKeyed(
     const StorageDesign& design, const FailureScenario& scenario,
     const Fingerprint& pairKey,
     std::optional<DesignPrecomputation>& precomputed,
-    const BatchOptions& options, std::uint64_t* retriesOut,
-    const DesignFingerprints* parts) {
+    const BatchOptions& options, std::uint64_t* retriesOut) {
   const int maxRetries = std::max(0, options.maxRetries);
   for (int attempt = 0;; ++attempt) {
     try {
       return EvalOutcome(
-          evaluateKeyed(design, scenario, pairKey, precomputed, parts));
+          evaluateKeyed(design, scenario, pairKey, precomputed));
     } catch (...) {
       EvalError error = errorFromCurrentException();
       error.attempts = attempt + 1;
@@ -206,11 +115,6 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
                                   const BatchOptions& options) {
   const auto start = std::chrono::steady_clock::now();
 
-  // No write-behind scope here: a batch may legitimately contain duplicate
-  // pairs (a served array request may repeat one), and deferred inserts
-  // would make every duplicate recompute instead of hitting. The
-  // optimizer's sweeps — whose pair keys are unique — open the scope
-  // themselves around their candidate fan-outs.
   BatchResult out;
   // Default-constructed slots read "not evaluated"; every request below
   // overwrites its own slot exactly once.
@@ -229,7 +133,7 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   // itself invalid; the error is attached to each of its requests rather
   // than aborting the batch.
   struct DesignEntry {
-    DesignFingerprints parts;
+    Fingerprint fp;
     std::optional<EvalError> error;
   };
   std::unordered_map<const StorageDesign*, DesignEntry> designFps;
@@ -246,7 +150,7 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   parallelFor(uniqueDesigns.size(), [&](std::size_t i) {
     DesignEntry& entry = designFps[uniqueDesigns[i]];
     try {
-      entry.parts = fingerprintDesignParts(*uniqueDesigns[i]);
+      entry.fp = fingerprintDesign(*uniqueDesigns[i]);
     } catch (...) {
       entry.error = errorFromCurrentException();
     }
@@ -284,7 +188,7 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
     // evaluation: finished work stays valid, un-started work is skipped.
     if (cancellable && token.cancelled()) return token.toError();
 
-    const Fingerprint key = combine(entry.parts.design, scenarioFps[i]);
+    const Fingerprint key = combine(entry.fp, scenarioFps[i]);
     // The pool site stands in for dispatch-layer faults; it is not retried.
     if (injector_) injector_->maybeInject(FaultSite::kPool, key);
 
@@ -293,7 +197,7 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
     std::uint64_t localRetries = 0;
     EvalOutcome outcome = tryEvaluateKeyed(*request.design, request.scenario,
                                            key, precomputed, options,
-                                           &localRetries, &entry.parts);
+                                           &localRetries);
     retries.fetch_add(localRetries, std::memory_order_relaxed);
     if (outcome.ok()) {
       // Computed iff the retried lookup path missed; hit otherwise. The

@@ -43,9 +43,6 @@
 #include <optional>
 #include <vector>
 
-#include <atomic>
-#include <mutex>
-
 #include "core/evaluator.hpp"
 #include "engine/arena.hpp"
 #include "engine/cancellation.hpp"
@@ -54,7 +51,6 @@
 #include "engine/fault_injection.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/plan.hpp"
-#include "engine/precompute.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace stordep::engine {
@@ -65,12 +61,6 @@ struct EngineOptions {
   bool useCache = true;
   std::size_t cacheCapacity = EvalCache::kDefaultCapacity;
   std::size_t cacheShards = EvalCache::kDefaultShards;
-  /// Per-thread pending-entry bound for write-behind cache buffering (see
-  /// Engine::WriteBehindScope): a thread whose pending eval/demand inserts
-  /// reach this many entries flushes them to the shared cache early, bounding
-  /// buffered memory on huge cold sweeps. 0 disables write-behind entirely
-  /// (every insert goes straight to the shared sharded caches).
-  std::size_t writeBehindLimit = 4096;
 };
 
 /// One evaluation request. The design is shared so a batch can reference the
@@ -146,11 +136,6 @@ class Engine {
   }
   [[nodiscard]] EvalCache& cache() noexcept { return cache_; }
   [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
-  /// Per-level demand memo shared by every sweep through this engine.
-  [[nodiscard]] DemandCache& demandCache() noexcept { return demandCache_; }
-  [[nodiscard]] const DemandCache& demandCache() const noexcept {
-    return demandCache_;
-  }
 
   /// One evaluation through the cache; throws on failure (legacy contract).
   [[nodiscard]] EvaluationResult evaluate(const StorageDesign& design,
@@ -167,14 +152,10 @@ class Engine {
   /// loops) and a lazily-filled precomputation slot: on the first miss for a
   /// design, the scenario-independent sub-models are computed once into
   /// `precomputed` and reused by every later miss for the same design.
-  /// When `parts` is non-null (fingerprintDesignParts of the same design),
-  /// that first precomputation goes through the engine's per-level demand
-  /// cache, so candidates sharing protection levels share the work.
   [[nodiscard]] EvaluationResult evaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
       const Fingerprint& pairKey,
-      std::optional<DesignPrecomputation>& precomputed,
-      const DesignFingerprints* parts = nullptr);
+      std::optional<DesignPrecomputation>& precomputed);
 
   /// evaluateKeyed with the structured-error contract and bounded retries
   /// for transient failures. `retriesOut`, when non-null, accumulates the
@@ -183,8 +164,7 @@ class Engine {
       const StorageDesign& design, const FailureScenario& scenario,
       const Fingerprint& pairKey,
       std::optional<DesignPrecomputation>& precomputed,
-      const BatchOptions& options, std::uint64_t* retriesOut = nullptr,
-      const DesignFingerprints* parts = nullptr);
+      const BatchOptions& options, std::uint64_t* retriesOut = nullptr);
 
   /// Evaluates all requests (in request order in the result vector), fanned
   /// out across the pool, with cache-hit accounting and throughput stats.
@@ -220,42 +200,6 @@ class Engine {
   /// across optimizer / portfolio / bench calls within the process.
   [[nodiscard]] static Engine& shared();
 
-  /// Per-worker-thread pending cache writes, buffered while a
-  /// WriteBehindScope is active and merged into the shared caches when it
-  /// closes. Public only so the scope machinery can hand threads their
-  /// buffers; not part of the caller-facing API.
-  struct WriteBehindBuffers {
-    std::vector<std::pair<Fingerprint, EvaluationResult>> evalPending;
-    std::vector<std::pair<Fingerprint, DemandCache::Entry>> demandPending;
-  };
-
-  /// RAII window during which this engine's cache *writes* are buffered in
-  /// thread-local vectors instead of taking the shared shard locks, then
-  /// merged in bulk (one lock per touched shard) when the scope closes.
-  /// Lookups still go to the shared caches, so hit/miss accounting and warm
-  /// reuse are unchanged; only who pays the insert lock moves. This is what
-  /// makes the *cold* path scale: a cold sweep is nearly 100% inserts, and
-  /// per-insert shard locking serializes exactly when every thread is
-  /// inserting.
-  ///
-  /// The scope must outlive every parallelFor it covers (workers must have
-  /// joined before the merge runs). Nested scopes, fault-injection runs
-  /// (per-insert kCacheInsert probes must fire), cache-less engines and
-  /// writeBehindLimit == 0 all degrade to a no-op scope with direct inserts.
-  /// Values are pure functions of their keys, so buffering never changes
-  /// what any lookup returns — only when the write lands.
-  class WriteBehindScope {
-   public:
-    explicit WriteBehindScope(Engine& engine);
-    ~WriteBehindScope();
-    WriteBehindScope(const WriteBehindScope&) = delete;
-    WriteBehindScope& operator=(const WriteBehindScope&) = delete;
-
-   private:
-    Engine& engine_;
-    bool active_ = false;
-  };
-
   /// Stats for one evaluatePlanMatrix call.
   struct PlanBatchStats {
     int threadsUsed = 1;
@@ -285,26 +229,11 @@ class Engine {
   [[nodiscard]] static BumpArena& threadArena();
 
  private:
-  /// The calling thread's write-behind buffers, or nullptr when no scope is
-  /// active (or this thread should insert directly).
-  [[nodiscard]] WriteBehindBuffers* writeBehindBuffers();
-  void mergeWriteBehind();
-
   EngineOptions options_;
   int threads_;
   EvalCache cache_;
-  DemandCache demandCache_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   std::shared_ptr<FaultInjector> injector_;  // null = no injection
-
-  std::atomic<bool> writeBehindActive_{false};
-  /// The active scope's epoch, drawn from a process-wide never-repeating
-  /// counter on scope open; a thread whose cached buffer pointer carries a
-  /// different epoch re-registers, so buffers never leak across scopes (or
-  /// across engine lifetimes sharing a reused address).
-  std::atomic<std::uint64_t> writeBehindEpoch_{0};
-  std::mutex writeBehindMu_;
-  std::vector<std::unique_ptr<WriteBehindBuffers>> writeBehindRegistry_;
 };
 
 }  // namespace stordep::engine

@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -99,19 +98,6 @@ class EvalCache {
   /// Inserts (or refreshes) `result` under `key`, evicting the shard's
   /// least-recently-used entry when full.
   void insert(const Fingerprint& key, const EvaluationResult& result);
-
-  /// Bulk insert for write-behind merges (engine/batch.hpp): entries are
-  /// grouped by shard and each shard's lock is taken once for its whole
-  /// group, instead of once per entry. Equivalent to insert() per entry in
-  /// order (same refresh/eviction semantics), except that fault-injection
-  /// probes are skipped — the engine only buffers writes when no injector
-  /// is installed. Entries are consumed (results moved out).
-  void insertBatch(std::vector<std::pair<Fingerprint, EvaluationResult>>&& entries);
-
-  /// lookup(), falling back to `compute()` + insert() on a miss.
-  [[nodiscard]] EvaluationResult getOrCompute(
-      const Fingerprint& key,
-      const std::function<EvaluationResult()>& compute);
 
   /// Installs (or clears, with nullptr) the fault injector consulted by
   /// lookup()/insert(). Not thread-safe against in-flight operations: set

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -147,10 +148,7 @@ EvaluatedCandidate evaluateCandidateImpl(
 
   try {
     const StorageDesign design = spec.build(workload, business);
-    // One structural pass yields the cache key and the per-level sub-keys
-    // the engine's demand cache shares across candidates.
-    const engine::DesignFingerprints parts =
-        engine::fingerprintDesignParts(design);
+    const engine::Fingerprint designFp = engine::fingerprintDesign(design);
     // Scenario-independent sub-models (utilization, outlays, warnings) are
     // computed at most once per candidate, and only if some scenario misses
     // the cache.
@@ -163,8 +161,8 @@ EvaluatedCandidate evaluateCandidateImpl(
     for (std::size_t j = 0; j < scenarios.size(); ++j) {
       engine::EvalOutcome outcome = eng.tryEvaluateKeyed(
           design, scenarios[j].scenario,
-          engine::combine(parts.design, scenarioFps[j]), precomputed,
-          evalOptions, nullptr, &parts);
+          engine::combine(designFp, scenarioFps[j]), precomputed,
+          evalOptions);
       if (!outcome.ok()) {
         out.error = outcome.error();
         break;
@@ -289,11 +287,20 @@ SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
   return searchDesignSpace(candidates, workload, business, scenarios, options);
 }
 
-SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
-                               const WorkloadSpec& workload,
-                               const BusinessRequirements& business,
-                               const std::vector<ScenarioCase>& scenarios,
-                               const SearchOptions& options) {
+namespace {
+
+/// The one candidate loop behind every sweep: drains `next` in
+/// SearchOptions::streamChunk-sized waves and fans each wave across the
+/// engine's pool. Every result lands in its wave slot, so the ranking sees
+/// exactly the serial order, and peak memory is O(streamChunk) materialized
+/// candidates regardless of how many `next` yields. A cancel stops the loop
+/// after the wave it lands in; only the candidates that completed are
+/// ranked, and a checkpoint journal resumes the rest.
+SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
+                        const WorkloadSpec& workload,
+                        const BusinessRequirements& business,
+                        const std::vector<ScenarioCase>& scenarios,
+                        const SearchOptions& options) {
   const auto startTime = std::chrono::steady_clock::now();
   engine::Engine& resolved =
       options.eng != nullptr ? *options.eng : engine::Engine::shared();
@@ -322,114 +329,6 @@ SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
   const bool planEligible = options.usePlan && stochastic == nullptr &&
                             resolved.faultInjector() == nullptr;
 
-  // Resume: restore journaled candidates before fanning out, so the sweep
-  // spends its budget only on un-finished work.
-  std::unique_ptr<CheckpointJournal> journal;
-  std::vector<engine::Fingerprint> keys;
-  if (!options.checkpointPath.empty()) {
-    journal = std::make_unique<CheckpointJournal>(
-        options.checkpointPath,
-        fingerprintSearchContext(workload, business, scenarios),
-        options.checkpointEvery);
-    keys.reserve(candidates.size());
-    for (const CandidateSpec& spec : candidates) {
-      keys.push_back(fingerprintCandidate(spec));
-    }
-  }
-
-  SearchResult result;
-
-  // Fan out at candidate granularity; every result lands in its own slot,
-  // so the ranking below sees exactly the serial order. `completed` marks
-  // the slots that hold a finished evaluation when the sweep is cancelled
-  // part-way (vector<char>: written concurrently per index).
-  std::vector<EvaluatedCandidate> evaluated(candidates.size());
-  std::vector<char> completed(candidates.size(), 0);
-  if (journal) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (const EvaluatedCandidate* record = journal->find(keys[i])) {
-        evaluated[i] = *record;
-        evaluated[i].spec = candidates[i];  // journal stores metrics only
-        completed[i] = 1;
-        ++result.skipped;
-      }
-    }
-  }
-
-  // Cold sweeps through the legacy fallback are insert-heavy; buffer the
-  // cache writes per worker and merge them once the fan-out joins.
-  engine::Engine::WriteBehindScope writeBehind(resolved);
-  const bool ranAll = resolved.parallelForCancellable(
-      candidates.size(),
-      [&](std::size_t i) {
-        if (completed[i] != 0) return;  // restored from the journal
-        if (cancellable && token.cancelled()) return;
-        std::optional<EvaluatedCandidate> viaPlan;
-        if (planEligible) {
-          viaPlan = tryEvaluateCandidateViaPlan(candidates[i], workload,
-                                                business, scenarios);
-        }
-        evaluated[i] =
-            viaPlan ? std::move(*viaPlan)
-                    : evaluateCandidateImpl(candidates[i], workload, business,
-                                            scenarios, resolved, scenarioFps,
-                                            evalOptions, stochastic);
-        completed[i] = 1;
-        // Only clean evaluations are journaled: a transiently-failed
-        // candidate should be re-attempted on resume, not pinned.
-        if (journal && !evaluated[i].error) {
-          journal->record(keys[i], evaluated[i]);
-        }
-      },
-      token);
-  if (journal) journal->flush();
-
-  std::vector<EvaluatedCandidate> finished;
-  finished.reserve(candidates.size());
-  bool anyIncomplete = false;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (completed[i] != 0) {
-      finished.push_back(std::move(evaluated[i]));
-    } else {
-      anyIncomplete = true;
-    }
-  }
-  result.cancelled = !ranAll || anyIncomplete;
-  rankCandidates(result, std::move(finished));
-  finalizeThroughput(result, startTime);
-  return result;
-}
-
-SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
-                                        const WorkloadSpec& workload,
-                                        const BusinessRequirements& business,
-                                        const std::vector<ScenarioCase>& scenarios,
-                                        const SearchOptions& options) {
-  const auto startTime = std::chrono::steady_clock::now();
-  engine::Engine& resolved =
-      options.eng != nullptr ? *options.eng : engine::Engine::shared();
-  const std::vector<engine::Fingerprint> scenarioFps =
-      fingerprintScenarios(scenarios);
-
-  engine::BatchOptions evalOptions;
-  evalOptions.maxRetries = options.maxRetries;
-  evalOptions.retryBackoff = options.retryBackoff;
-
-  engine::CancellationToken token = options.token;
-  if (options.deadline.count() > 0) {
-    token = token.withDeadline(options.deadline);
-  }
-  const bool cancellable = token.cancellable();
-
-  const StochasticObjectiveSpec stochasticSpec{options.stochasticTrials,
-                                               options.stochasticSeed};
-  const StochasticObjectiveSpec* stochastic =
-      options.objective == Objective::kExpectedPenalty ? &stochasticSpec
-                                                       : nullptr;
-
-  const bool planEligible = options.usePlan && stochastic == nullptr &&
-                            resolved.faultInjector() == nullptr;
-
   std::unique_ptr<CheckpointJournal> journal;
   if (!options.checkpointPath.empty()) {
     journal = std::make_unique<CheckpointJournal>(
@@ -441,18 +340,14 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
   SearchResult result;
   std::vector<EvaluatedCandidate> finished;
 
-  // One write-behind window covers every wave: candidates are unique across
-  // chunks, so deferring the merge to the end of the sweep loses no reuse,
-  // and the per-thread flush bound keeps buffered memory flat.
-  engine::Engine::WriteBehindScope writeBehind(resolved);
-
-  // Wave buffers, reused across chunks: peak memory is O(streamChunk)
-  // materialized candidates regardless of grid size.
+  // Wave buffers, reused across chunks.
   const std::size_t chunkSize = std::max<std::size_t>(1, options.streamChunk);
   std::vector<CandidateSpec> chunk;
   chunk.reserve(chunkSize);
   std::vector<engine::Fingerprint> keys;
   std::vector<EvaluatedCandidate> evaluated;
+  // Marks the slots holding a finished evaluation (vector<char>: written
+  // concurrently per index).
   std::vector<char> completed;
   std::vector<EvaluatedCandidate> waveFinished;
 
@@ -460,7 +355,7 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
   CandidateSpec spec;
   while (!stopped) {
     chunk.clear();
-    while (chunk.size() < chunkSize && cursor.next(spec)) {
+    while (chunk.size() < chunkSize && next(spec)) {
       chunk.push_back(spec);
     }
     if (chunk.empty()) break;
@@ -474,6 +369,8 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
     }
     evaluated.assign(chunk.size(), EvaluatedCandidate{});
     completed.assign(chunk.size(), 0);
+    // Resume: restore journaled candidates before fanning out, so the wave
+    // spends its budget only on un-finished work.
     if (journal) {
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         if (const EvaluatedCandidate* record = journal->find(keys[i])) {
@@ -488,7 +385,7 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
     const bool ranAll = resolved.parallelForCancellable(
         chunk.size(),
         [&](std::size_t i) {
-          if (completed[i] != 0) return;
+          if (completed[i] != 0) return;  // restored from the journal
           if (cancellable && token.cancelled()) return;
           std::optional<EvaluatedCandidate> viaPlan;
           if (planEligible) {
@@ -501,6 +398,8 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
                                               scenarios, resolved, scenarioFps,
                                               evalOptions, stochastic);
           completed[i] = 1;
+          // Only clean evaluations are journaled: a transiently-failed
+          // candidate should be re-attempted on resume, not pinned.
           if (journal && !evaluated[i].error) {
             journal->record(keys[i], evaluated[i]);
           }
@@ -531,6 +430,32 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
   rankCandidates(result, std::move(finished));
   finalizeThroughput(result, startTime);
   return result;
+}
+
+}  // namespace
+
+SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
+                               const WorkloadSpec& workload,
+                               const BusinessRequirements& business,
+                               const std::vector<ScenarioCase>& scenarios,
+                               const SearchOptions& options) {
+  std::size_t next = 0;
+  return sweepWaves(
+      [&](CandidateSpec& out) {
+        if (next == candidates.size()) return false;
+        out = candidates[next++];
+        return true;
+      },
+      workload, business, scenarios, options);
+}
+
+SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
+                                        const WorkloadSpec& workload,
+                                        const BusinessRequirements& business,
+                                        const std::vector<ScenarioCase>& scenarios,
+                                        const SearchOptions& options) {
+  return sweepWaves([&](CandidateSpec& out) { return cursor.next(out); },
+                    workload, business, scenarios, options);
 }
 
 SearchResult searchDesignSpaceSerial(

@@ -122,26 +122,26 @@ struct SearchOptions {
   std::string checkpointPath;
   /// Journal flush cadence (records per flush).
   std::size_t checkpointEvery = 16;
-  /// Streaming sweep only: candidates drained from the cursor per fan-out
+  /// Candidates drained from the candidate vector or cursor per fan-out
   /// wave. Bounds peak memory at O(streamChunk) materialized candidates.
   std::size_t streamChunk = 1024;
-  /// Streaming sweep only: called on the sweeping thread after every wave
-  /// with the cumulative number of candidates dispatched (evaluated +
-  /// resumed from checkpoint) so far. Lets a long sweep report progress
-  /// (the service's /v1/search streams one chunk per callback). Must not
-  /// throw; keep it cheap — it runs between waves, on the critical path.
+  /// Called on the sweeping thread after every wave with the cumulative
+  /// number of candidates dispatched (evaluated + resumed from checkpoint)
+  /// so far. Lets a long sweep report progress (the service's /v1/search
+  /// streams one chunk per callback). Must not throw; keep it cheap — it
+  /// runs between waves, on the critical path.
   std::function<void(std::size_t done)> onProgress;
-  /// Streaming sweep only: called on the sweeping thread after every wave
-  /// with the candidates that wave finished (journal-restored ones
-  /// included), before they are merged into the final ranking. The cluster
-  /// sweep workers stream these back to the coordinator as NDJSON. Same
-  /// contract as onProgress: cheap, non-throwing.
+  /// Called on the sweeping thread after every wave with the candidates
+  /// that wave finished (journal-restored ones included), before they are
+  /// merged into the final ranking. The cluster sweep workers stream these
+  /// back to the coordinator as NDJSON. Same contract as onProgress: cheap,
+  /// non-throwing.
   std::function<void(const std::vector<EvaluatedCandidate>& wave)>
       onCandidates;
-  /// Streaming sweep only: sleep inserted between waves (0 = none). Exists
-  /// for tests and smoke scripts that must kill a node *mid*-sweep
-  /// deterministically — pacing the waves keeps the sweep alive long enough
-  /// to die at a controlled point.
+  /// Sleep inserted between waves (0 = none). Exists for tests and smoke
+  /// scripts that must kill a node or process *mid*-sweep deterministically
+  /// — pacing the waves keeps the sweep alive long enough to die at a
+  /// controlled point.
   std::chrono::milliseconds waveDelay{0};
   /// Ranking objective. kWorstCase leaves every result bit-identical to the
   /// serial reference; kExpectedPenalty replaces the penalty term with the
@@ -185,8 +185,10 @@ struct SearchOptions {
 
 /// The fault-tolerant sweep: per-candidate error isolation, cooperative
 /// cancellation and deadline, transient-failure retries, and checkpoint/
-/// resume through an append-only journal. With default options it produces
-/// exactly the same result as the overload above.
+/// resume through an append-only journal. Runs the same wave loop as
+/// searchDesignSpaceStreaming over the vector, so streamChunk and the wave
+/// callbacks apply here too. With default options it produces exactly the
+/// same result as the overload above.
 [[nodiscard]] SearchResult searchDesignSpace(
     const std::vector<CandidateSpec>& candidates, const WorkloadSpec& workload,
     const BusinessRequirements& business,
@@ -195,8 +197,9 @@ struct SearchOptions {
 /// Streaming sweep: drains `cursor` in SearchOptions::streamChunk-sized
 /// waves, fanning each wave across the engine's pool, so a million-point
 /// grid is searched in bounded memory (never materialized as a vector).
-/// Composes with checkpoint/resume exactly like the vector overload, and
-/// the result is identical to searchDesignSpace(enumerateDesignSpace(...)).
+/// Shares the vector overload's wave loop, so journals resume across the
+/// two, and the result is identical to
+/// searchDesignSpace(enumerateDesignSpace(...)).
 [[nodiscard]] SearchResult searchDesignSpaceStreaming(
     DesignSpaceCursor& cursor, const WorkloadSpec& workload,
     const BusinessRequirements& business,

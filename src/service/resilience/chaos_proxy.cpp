@@ -180,12 +180,15 @@ void ChaosProxy::stop() {
     if (acceptThread_.joinable()) acceptThread_.join();
     return;
   }
+  // shutdown() wakes a blocked accept4() without releasing the fd; it is
+  // closed only after the accept thread has joined, so that thread never
+  // reads a cleared listenFd_ or accepts on a reused fd number.
+  if (listenFd_ >= 0) shutdown(listenFd_, SHUT_RDWR);
+  if (acceptThread_.joinable()) acceptThread_.join();
   if (listenFd_ >= 0) {
-    shutdown(listenFd_, SHUT_RDWR);
     close(listenFd_);
     listenFd_ = -1;
   }
-  if (acceptThread_.joinable()) acceptThread_.join();
   std::vector<std::unique_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -247,7 +250,7 @@ void ChaosProxy::acceptLoop() {
     const int clientFd = accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (clientFd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      break;  // listener shut down by stop()
     }
     const std::uint64_t connId =
         nextConnId_.fetch_add(1, std::memory_order_relaxed);

@@ -5,7 +5,7 @@
 //
 //   POST /v1/evaluate  one {design, scenario} pair or an array of them,
 //                      evaluated as one Engine::evaluateBatch call over the
-//                      process-wide EvalCache/DemandCache.
+//                      process-wide EvalCache.
 //   POST /v1/search    a design-space sweep; progress streams back as
 //                      chunked NDJSON, one line per streamChunk wave.
 //   GET  /metrics      lifetime + per-interval counters (service/metrics).

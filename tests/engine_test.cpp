@@ -131,19 +131,13 @@ TEST(EvalCache, LruEvictionAtCapacity) {
 
 TEST(EvalCache, GetOrComputeAndClear) {
   EvalCache cache(16, 4);
-  int computes = 0;
-  const auto compute = [&]() {
-    ++computes;
-    return markedResult(7.0);
-  };
-  (void)cache.getOrCompute(Fingerprint{5, 5}, compute);
-  (void)cache.getOrCompute(Fingerprint{5, 5}, compute);
-  EXPECT_EQ(computes, 1);  // second call served from cache
+  EXPECT_FALSE(cache.lookup(Fingerprint{5, 5}).has_value());
+  cache.insert(Fingerprint{5, 5}, markedResult(7.0));
+  EXPECT_TRUE(cache.lookup(Fingerprint{5, 5}).has_value());  // served
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  (void)cache.getOrCompute(Fingerprint{5, 5}, compute);
-  EXPECT_EQ(computes, 2);
+  EXPECT_FALSE(cache.lookup(Fingerprint{5, 5}).has_value());  // gone
 }
 
 TEST(EvalCache, ShardCountRoundsToPowerOfTwo) {

@@ -1,7 +1,8 @@
 // Tests for the fault-tolerant evaluation pipeline: per-request error
 // isolation, deterministic fault injection, cancellation/deadlines, retry
-// budgets, thread-pool failure drain, checkpoint/resume for long sweeps,
-// and the design-io error-wrapping contract.
+// budgets, thread-pool failure drain, checkpoint/resume for long sweeps
+// (through the one wave loop both sweep entry points share), and the
+// design-io error-wrapping contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "casestudy/casestudy.hpp"
@@ -85,13 +87,17 @@ void expectSameSearch(const opt::SearchResult& a, const opt::SearchResult& b) {
 }
 
 /// A reduced (~40 candidate) design space so checkpoint tests stay fast.
-std::vector<opt::CandidateSpec> smallSpace() {
+opt::DesignSpaceOptions smallSpaceOptions() {
   opt::DesignSpaceOptions options;
   options.pitAccWs = {hours(12)};
   options.backupAccWs = {weeks(1)};
   options.vaultAccWs = {weeks(4)};
   options.mirrorLinkCounts = {1, 4};
-  return opt::enumerateDesignSpace(options);
+  return options;
+}
+
+std::vector<opt::CandidateSpec> smallSpace() {
+  return opt::enumerateDesignSpace(smallSpaceOptions());
 }
 
 std::string tempPath(const std::string& name) {
@@ -763,6 +769,134 @@ TEST(CheckpointResume, RefineHonorsCancellation) {
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.steps, 0);
   EXPECT_EQ(result.best.totalCost.raw(), startEval.totalCost.raw());
+}
+
+// ---- One wave loop behind both sweeps --------------------------------------
+
+TEST(SweepWaves, VectorSweepFiresEachCallbackOncePerWave) {
+  const std::vector<opt::CandidateSpec> candidates = smallSpace();
+  const WorkloadSpec workload = cs::celloWorkload();
+  const BusinessRequirements business = cs::requirements();
+  const std::vector<opt::ScenarioCase> scenarios = opt::caseStudyScenarios();
+  constexpr std::size_t kChunk = 7;
+  ASSERT_GT(candidates.size(), 2 * kChunk);
+  ASSERT_NE(candidates.size() % kChunk, 0u);  // a short final wave too
+
+  const std::string path = tempPath("stordep_journal_vector_waves.jsonl");
+  eng::Engine engine(eng::EngineOptions{.threads = 4});
+  opt::SearchOptions options;
+  options.eng = &engine;
+  options.checkpointPath = path;
+  options.streamChunk = kChunk;
+  // One entry per callback, in call order: the wave size for onCandidates,
+  // the cumulative count for onProgress.
+  std::vector<std::pair<char, std::size_t>> calls;
+  options.onCandidates = [&](const std::vector<opt::EvaluatedCandidate>& wave) {
+    calls.emplace_back('C', wave.size());
+  };
+  options.onProgress = [&](std::size_t done) { calls.emplace_back('P', done); };
+  const opt::SearchResult result = opt::searchDesignSpace(
+      candidates, workload, business, scenarios, options);
+  EXPECT_FALSE(result.cancelled);
+  EXPECT_EQ(result.evaluated, static_cast<int>(candidates.size()));
+
+  const std::size_t waves = (candidates.size() + kChunk - 1) / kChunk;
+  ASSERT_EQ(calls.size(), 2 * waves);
+  std::size_t done = 0;
+  for (std::size_t w = 0; w < waves; ++w) {
+    const std::size_t size = std::min(kChunk, candidates.size() - done);
+    done += size;
+    EXPECT_EQ(calls[2 * w], std::make_pair('C', size)) << "wave " << w;
+    EXPECT_EQ(calls[2 * w + 1], std::make_pair('P', done)) << "wave " << w;
+  }
+  expectSameSearch(result, opt::searchDesignSpaceSerial(candidates, workload,
+                                                        business, scenarios));
+
+  // Every wave journaled its candidates: header + one record per spec.
+  std::size_t lines = 0;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) ++lines;
+  }
+  EXPECT_EQ(lines, candidates.size() + 1);
+  std::filesystem::remove(path);
+}
+
+/// Runs one journaled sweep over smallSpace() in kChunk-candidate waves and
+/// cancels it from onProgress once `cancelAfter` candidates are done (0 =
+/// never). `streaming` picks searchDesignSpaceStreaming over a cursor
+/// instead of the vector overload.
+opt::SearchResult journaledSweep(bool streaming, const std::string& path,
+                                 std::size_t cancelAfter) {
+  constexpr std::size_t kChunk = 8;
+  eng::Engine engine(eng::EngineOptions{.threads = 2});
+  eng::CancellationSource source;
+  opt::SearchOptions options;
+  options.eng = &engine;
+  options.checkpointPath = path;
+  options.streamChunk = kChunk;
+  options.token = source.token();
+  options.onProgress = [&](std::size_t done) {
+    if (cancelAfter > 0 && done >= cancelAfter) source.cancel();
+  };
+  if (streaming) {
+    opt::DesignSpaceCursor cursor(smallSpaceOptions());
+    return opt::searchDesignSpaceStreaming(cursor, cs::celloWorkload(),
+                                           cs::requirements(),
+                                           opt::caseStudyScenarios(), options);
+  }
+  return opt::searchDesignSpace(smallSpace(), cs::celloWorkload(),
+                                cs::requirements(), opt::caseStudyScenarios(),
+                                options);
+}
+
+TEST(SweepWaves, CancelledVectorSweepResumesToTheSerialRanking) {
+  const std::vector<opt::CandidateSpec> candidates = smallSpace();
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      candidates, cs::celloWorkload(), cs::requirements(),
+      opt::caseStudyScenarios());
+  const std::string path = tempPath("stordep_journal_vector_cancel.jsonl");
+
+  // Cancelled between waves: exactly the first two waves completed, and
+  // only they are ranked.
+  const opt::SearchResult partial =
+      journaledSweep(/*streaming=*/false, path, /*cancelAfter=*/16);
+  EXPECT_TRUE(partial.cancelled);
+  EXPECT_EQ(partial.evaluated, 16);
+  EXPECT_EQ(partial.ranked.size() + partial.rejected.size(), 16u);
+
+  const opt::SearchResult resumed =
+      journaledSweep(/*streaming=*/false, path, /*cancelAfter=*/0);
+  EXPECT_FALSE(resumed.cancelled);
+  EXPECT_EQ(resumed.skipped, partial.evaluated);
+  EXPECT_EQ(resumed.evaluated, static_cast<int>(candidates.size()));
+  expectSameSearch(resumed, serial);
+  std::filesystem::remove(path);
+}
+
+TEST(SweepWaves, JournalsResumeAcrossVectorAndStreamingSweeps) {
+  const std::vector<opt::CandidateSpec> candidates = smallSpace();
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      candidates, cs::celloWorkload(), cs::requirements(),
+      opt::caseStudyScenarios());
+  for (const bool vectorFirst : {true, false}) {
+    SCOPED_TRACE(vectorFirst ? "vector journal, streaming resume"
+                             : "streaming journal, vector resume");
+    const std::string path = tempPath("stordep_journal_cross_resume.jsonl");
+    const opt::SearchResult partial =
+        journaledSweep(/*streaming=*/!vectorFirst, path, /*cancelAfter=*/24);
+    EXPECT_TRUE(partial.cancelled);
+    EXPECT_EQ(partial.evaluated, 24);
+
+    const opt::SearchResult resumed =
+        journaledSweep(/*streaming=*/vectorFirst, path, /*cancelAfter=*/0);
+    EXPECT_FALSE(resumed.cancelled);
+    EXPECT_EQ(resumed.skipped, partial.evaluated);
+    EXPECT_EQ(resumed.evaluated, static_cast<int>(candidates.size()));
+    expectSameSearch(resumed, serial);
+    std::filesystem::remove(path);
+  }
 }
 
 // ---- Portfolio outcome sweeps ---------------------------------------------

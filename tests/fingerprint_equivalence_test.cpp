@@ -6,8 +6,7 @@
 // fingerprint iff their canonical serializations are byte-identical. These
 // tests check that bidirectionally over generated designs/scenarios (via
 // verify/gen), probe near-miss collisions, and pin down the pieces built on
-// top: fingerprintDesignParts, the streaming design-space cursor, the
-// streaming search, and the engine's per-level demand cache.
+// top: the streaming design-space cursor and the streaming search.
 
 #include <cstdio>
 #include <map>
@@ -20,7 +19,6 @@
 #include "casestudy/casestudy.hpp"
 #include "engine/batch.hpp"
 #include "engine/fingerprint.hpp"
-#include "engine/precompute.hpp"
 #include "optimizer/design_space.hpp"
 #include "optimizer/search.hpp"
 #include "verify/gen.hpp"
@@ -191,43 +189,6 @@ TEST(FingerprintEquivalence, NearMissDesignsStayDistinct) {
   }
   EXPECT_GT(built, 100);
   EXPECT_EQ(checker.distinct(), static_cast<std::size_t>(built));
-}
-
-TEST(FingerprintParts, AgreeWithWholeDesignFingerprints) {
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const verify::CaseSpec spec = verify::caseForSeed(kRunSeed + 2, i);
-    const StorageDesign design = verify::makeDesign(spec);
-    const engine::DesignFingerprints parts =
-        engine::fingerprintDesignParts(design);
-    EXPECT_EQ(parts.design, engine::fingerprintDesign(design));
-    EXPECT_EQ(parts.workload, engine::fingerprintWorkload(design.workload()));
-    ASSERT_EQ(parts.levelKeys.size(),
-              static_cast<std::size_t>(design.levelCount()));
-  }
-}
-
-TEST(FingerprintParts, LevelKeysSeeReferencedDeviceChanges) {
-  // The mirror link-count axis only changes the wan-links device; the level
-  // tokens (names) are identical, so the level key must fold the device
-  // fingerprint to avoid demand-cache aliasing.
-  const WorkloadSpec workload = casestudy::celloWorkload();
-  const BusinessRequirements business = casestudy::requirements();
-  CandidateSpec a;
-  a.mirror = optimizer::MirrorChoice::kAsyncBatch;
-  a.mirrorLinkCount = 1;
-  CandidateSpec b = a;
-  b.mirrorLinkCount = 4;
-
-  const StorageDesign da = a.build(workload, business);
-  const StorageDesign db = b.build(workload, business);
-  const engine::DesignFingerprints pa = engine::fingerprintDesignParts(da);
-  const engine::DesignFingerprints pb = engine::fingerprintDesignParts(db);
-  ASSERT_EQ(pa.levelKeys.size(), pb.levelKeys.size());
-  bool anyDiffer = false;
-  for (std::size_t i = 0; i < pa.levelKeys.size(); ++i) {
-    if (!(pa.levelKeys[i] == pb.levelKeys[i])) anyDiffer = true;
-  }
-  EXPECT_TRUE(anyDiffer);
 }
 
 TEST(FingerprintCounters, CountOpsAndBytes) {
@@ -402,89 +363,6 @@ TEST(StreamingSearch, ResumesFromVectorSweepJournal) {
               full.ranked[i].totalCost.raw());
   }
   std::remove(path.c_str());
-}
-
-// ---- Demand cache ----------------------------------------------------------
-
-TEST(DemandCache, CachedPrecomputationIsBitIdentical) {
-  const WorkloadSpec workload = casestudy::celloWorkload();
-  const BusinessRequirements business = casestudy::requirements();
-  const FailureScenario scenario = casestudy::siteDisaster();
-
-  engine::DemandCache cache;
-  for (const CandidateSpec& spec : optimizer::enumerateDesignSpace()) {
-    const StorageDesign design = spec.build(workload, business);
-    const engine::DesignFingerprints parts =
-        engine::fingerprintDesignParts(design);
-    const DesignPrecomputation direct = precomputeDesign(design);
-    const DesignPrecomputation cached =
-        engine::precomputeDesignCached(design, parts, cache);
-
-    // Compare through the full evaluation they feed: identical inputs to
-    // evaluate() must give identical raw metrics.
-    const EvaluationResult a = evaluate(design, scenario, direct);
-    const EvaluationResult b = evaluate(design, scenario, cached);
-    ASSERT_EQ(a.cost.totalOutlays.raw(), b.cost.totalOutlays.raw());
-    ASSERT_EQ(a.cost.totalPenalties.raw(), b.cost.totalPenalties.raw());
-    ASSERT_EQ(a.recovery.recoveryTime.raw(), b.recovery.recoveryTime.raw());
-    ASSERT_EQ(a.recovery.dataLoss.raw(), b.recovery.dataLoss.raw());
-    ASSERT_EQ(a.utilization.feasible(), b.utilization.feasible());
-    ASSERT_EQ(direct.warnings, cached.warnings);
-    ASSERT_EQ(direct.outlays.size(), cached.outlays.size());
-  }
-  const engine::DemandCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.probes, 0u);
-  // The grid's levels heavily overlap, so most probes must hit.
-  EXPECT_GT(stats.hitRate(), 0.5);
-}
-
-TEST(DemandCache, EngineSweepSharesLevelWork) {
-  const WorkloadSpec workload = casestudy::celloWorkload();
-  const BusinessRequirements business = casestudy::requirements();
-  const std::vector<optimizer::ScenarioCase> scenarios =
-      optimizer::caseStudyScenarios();
-  const std::vector<CandidateSpec> candidates =
-      optimizer::enumerateDesignSpace();
-
-  engine::Engine eng(engine::EngineOptions{.threads = 4});
-  // Pin the legacy keyed path: the demand cache only sees traffic when
-  // candidates precompute through it (the plan path never touches it).
-  optimizer::SearchOptions legacy;
-  legacy.eng = &eng;
-  legacy.maxRetries = 0;
-  legacy.usePlan = false;
-  const optimizer::SearchResult viaEngine = optimizer::searchDesignSpace(
-      candidates, workload, business, scenarios, legacy);
-  const optimizer::SearchResult serial = optimizer::searchDesignSpaceSerial(
-      candidates, workload, business, scenarios);
-
-  ASSERT_EQ(viaEngine.ranked.size(), serial.ranked.size());
-  for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
-    EXPECT_EQ(viaEngine.ranked[i].label, serial.ranked[i].label);
-    EXPECT_EQ(viaEngine.ranked[i].totalCost.raw(),
-              serial.ranked[i].totalCost.raw());
-  }
-  const engine::DemandCache::Stats stats = eng.demandCache().stats();
-  EXPECT_GT(stats.probes, 0u);
-  EXPECT_GT(stats.hits, 0u);
-}
-
-TEST(DemandCache, StatsAndClear) {
-  engine::DemandCache cache(/*capacity=*/8, /*shards=*/2);
-  EXPECT_EQ(cache.stats().capacity, 8u);
-  const Fingerprint key{1, 2};
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  cache.insert(key, std::make_shared<std::vector<engine::CachedDemand>>());
-  EXPECT_NE(cache.lookup(key), nullptr);
-  engine::DemandCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.probes, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  cache.clear();
-  stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.probes, 0u);
 }
 
 TEST(EvalCacheStats, ProbesCountLookupTraffic) {

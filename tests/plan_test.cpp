@@ -2,10 +2,10 @@
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
 // reuse/rewind protocol, plan-compilation idempotence (fingerprints), the
-// fallback to the legacy evaluator for un-plannable designs, the engine's
-// write-behind cache merge, and — the thread-determinism satellite — that a
-// cold plan-routed search returns bit-identical rankings at 1/2/4/8 threads
-// (this binary also runs under TSan in CI).
+// fallback to the legacy evaluator for un-plannable designs, and — the
+// thread-determinism satellite — that a cold plan-routed search returns
+// bit-identical rankings at 1/2/4/8 threads (this binary also runs under
+// TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -298,80 +298,6 @@ TEST(PlanFallback, SearchStillRanksUnplannableDesignSpaces) {
   EXPECT_EQ(viaPlan.weightedPenalties.raw(), legacy.weightedPenalties.raw());
   EXPECT_EQ(viaPlan.worstRecoveryTime.raw(), legacy.worstRecoveryTime.raw());
   EXPECT_EQ(viaPlan.worstDataLoss.raw(), legacy.worstDataLoss.raw());
-}
-
-// ---- Write-behind cache merge ----------------------------------------------
-
-TEST(WriteBehind, InsertsAreBufferedAndMergedOnScopeClose) {
-  Engine engine(EngineOptions{.threads = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::FailureScenario scenario = cs::arrayFailure();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-
-  {
-    Engine::WriteBehindScope scope(engine);
-    std::optional<stordep::DesignPrecomputation> pre;
-    (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-    // The write is parked in the thread buffer, not the shared cache.
-    EXPECT_EQ(engine.cache().stats().inserts, 0u);
-  }
-  // Scope close merged it.
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);
-  std::optional<stordep::DesignPrecomputation> pre;
-  const std::uint64_t hitsBefore = engine.cache().stats().hits;
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  EXPECT_EQ(engine.cache().stats().hits, hitsBefore + 1);
-}
-
-TEST(WriteBehind, BufferFlushesEarlyAtTheLimit) {
-  Engine engine(EngineOptions{.threads = 1, .writeBehindLimit = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-
-  Engine::WriteBehindScope scope(engine);
-  std::optional<stordep::DesignPrecomputation> pre;
-  const stordep::FailureScenario scenario = cs::arrayFailure();
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  // Limit 1: the pending buffer hit its bound and flushed inside the scope.
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);
-}
-
-TEST(WriteBehind, ZeroLimitDisablesBuffering) {
-  Engine engine(EngineOptions{.threads = 1, .writeBehindLimit = 0});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  Engine::WriteBehindScope scope(engine);  // degrades to a no-op
-  std::optional<stordep::DesignPrecomputation> pre;
-  const stordep::FailureScenario scenario = cs::siteDisaster();
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);  // straight to the cache
-}
-
-TEST(WriteBehind, NestedScopeIsANoOp) {
-  Engine engine(EngineOptions{.threads = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  Engine::WriteBehindScope outer(engine);
-  {
-    Engine::WriteBehindScope inner(engine);  // no-op: outer is active
-    std::optional<stordep::DesignPrecomputation> pre;
-    const stordep::FailureScenario scenario = cs::objectFailure();
-    const stordep::engine::Fingerprint key = stordep::engine::combine(
-        parts.design, stordep::engine::fingerprintScenario(scenario));
-    (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  }
-  // Inner close must NOT have merged: the write still belongs to outer.
-  EXPECT_EQ(engine.cache().stats().inserts, 0u);
 }
 
 // ---- Thread-count determinism (runs under TSan in CI) ----------------------

@@ -774,7 +774,7 @@ TEST(StreamingResume, MidStreamTruncationResumesWithoutGapsOrDuplicates) {
 
 TEST(CheckpointSigkill, KilledWriterLoopAlwaysResumesToTheSerialRanking) {
   // The full default space (a few hundred candidates): the journaled
-  // sweep has to run long enough for a SIGKILL to land mid-record.
+  // sweep has to run long enough for a SIGKILL to land mid-run.
   const std::vector<opt::CandidateSpec> candidates =
       opt::enumerateDesignSpace(opt::DesignSpaceOptions{});
   const WorkloadSpec workload = cs::celloWorkload();
@@ -786,26 +786,43 @@ TEST(CheckpointSigkill, KilledWriterLoopAlwaysResumesToTheSerialRanking) {
   const std::string path =
       ::testing::TempDir() + "stordep_sigkill_journal.jsonl";
   std::filesystem::remove(path);
+  const auto journalBytes = [&] {
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    return ec ? std::uintmax_t{0} : bytes;
+  };
 
-  // Repeatedly run the journaled sweep in a child and SIGKILL it after a
-  // random slice of progress. Each round resumes whatever (possibly torn)
+  // Repeatedly run the journaled sweep in a child and SIGKILL it shortly
+  // after the journal grows. Each round resumes whatever (possibly torn)
   // journal the previous corpse left behind. The loop ends when a child
   // survives to completion.
+  //
+  // The kill is timed from the journal's growth, not from fork(): growth
+  // proves the child is sweeping. The child paces its sweep in 16-candidate
+  // waves 3 ms apart, so a run lasts over 40 ms and the kill, at most 2 ms
+  // after the growth, lands mid-run unless the child was already in its
+  // last waves. Round 0 grows the journal with its header, before any
+  // wave, so it dies mid-run unless this process oversleeps by ~40 ms.
+  // The child engine stays on the calling thread, because TSan aborts a
+  // child that starts threads after a multi-threaded fork.
   std::mt19937 delays(0xC0FFEE);
   bool completed = false;
   int signaled = 0;
   for (int round = 0; round < 40 && !completed; ++round) {
+    const std::uintmax_t before = journalBytes();
     const pid_t pid = fork();
     ASSERT_NE(pid, -1);
     if (pid == 0) {
       // Child: run the sweep with per-candidate journaling, then vanish
       // without gtest teardown.
       try {
-        eng::Engine engine(eng::EngineOptions{.threads = 2});
+        eng::Engine engine(eng::EngineOptions{.threads = 1});
         opt::SearchOptions options;
         options.eng = &engine;
         options.checkpointPath = path;
         options.checkpointEvery = 1;
+        options.streamChunk = 16;
+        options.waveDelay = milliseconds{3};
         (void)opt::searchDesignSpace(candidates, workload, business,
                                      scenarios, options);
         _exit(0);
@@ -813,12 +830,21 @@ TEST(CheckpointSigkill, KilledWriterLoopAlwaysResumesToTheSerialRanking) {
         _exit(2);
       }
     }
-    const auto delay =
-        std::chrono::microseconds{300 + static_cast<int>(delays() % 8000)};
-    std::this_thread::sleep_for(delay);
-    (void)kill(pid, SIGKILL);
     int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    pid_t reaped = 0;
+    const auto giveUp = steady_clock::now() + std::chrono::seconds{30};
+    while (journalBytes() <= before && steady_clock::now() < giveUp) {
+      reaped = waitpid(pid, &status, WNOHANG);
+      if (reaped != 0) break;  // finished (or failed) before growing
+      std::this_thread::sleep_for(std::chrono::microseconds{100});
+    }
+    if (reaped == 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds{static_cast<int>(delays() % 2000)});
+      (void)kill(pid, SIGKILL);
+      reaped = waitpid(pid, &status, 0);
+    }
+    ASSERT_EQ(reaped, pid);
     ASSERT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
         << "child sweep threw";
     completed = WIFEXITED(status) && WEXITSTATUS(status) == 0;
