@@ -24,16 +24,16 @@
 //
 // Cluster mode (see DESIGN.md "Cluster layer" and README "Running a
 // cluster"): give the node an id and point it at any running member —
-// membership gossips out from the seeds, single-design evaluations route
-// to their ring owner, and a {"cluster": true} /v1/search fans the sweep
-// out over every live member.
+// membership gossips out from the seeds, every member answers the
+// evaluations it receives itself, and a {"cluster": true} /v1/search fans
+// the sweep out over every live member.
 //   --node-id ID         join/form a cluster as member ID (enables the layer)
 //   --cluster-seed H:P   a peer to bootstrap from (repeatable)
 //   --advertise-host A   address peers should dial (default 127.0.0.1)
 //   --advertise-port N   port peers should dial (default: the bound port)
-//   --cluster-vnodes N   virtual nodes per member on the hash ring
 //   --heartbeat-ms N     gossip cadence (default 500)
-//   --suspect-ms N       silence before a peer turns Suspect (default 2000)
+//   --suspect-ms N       silence before a peer turns Suspect and is left
+//                        out of distributed sweeps (default 2000)
 //   --evict-ms N         silence before a Suspect is evicted (default 6000)
 #include <csignal>
 #include <cstdlib>
@@ -154,8 +154,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--advertise-port") {
       nodeOptions.advertisePort =
           static_cast<int>(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--cluster-vnodes") {
-      nodeOptions.vnodes = static_cast<int>(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--heartbeat-ms") {
       nodeOptions.membership.heartbeatInterval =
           std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
@@ -172,8 +170,7 @@ int main(int argc, char** argv) {
                    " [--brownout-enter R] [--brownout-exit R]"
                    " [--node-id ID] [--cluster-seed HOST:PORT]..."
                    " [--advertise-host A] [--advertise-port N]"
-                   " [--cluster-vnodes N] [--heartbeat-ms N]"
-                   " [--suspect-ms N] [--evict-ms N]\n";
+                   " [--heartbeat-ms N] [--suspect-ms N] [--evict-ms N]\n";
       return 0;
     } else {
       std::cerr << "stordep_serve: unknown option " << arg << "\n";

@@ -10,18 +10,12 @@
 //               [--sim-every N] [--stochastic-every N]
 //               [--stochastic-plan-every N] [--search-every N]
 //               [--plan-every N] [--io-every N] [--replay INDEX] [--out FILE]
-//               [--list-relations] [--server N] [--cluster N]
+//               [--list-relations] [--server N]
 //
 // --server N switches to the service oracle: N gen-seeded evaluate payloads
 // round-trip through a loopback HTTP server (POST /v1/evaluate) and each
 // response must be byte-identical to the in-process engine evaluating the
 // same round-tripped design — the served path may not change a single bit.
-//
-// --cluster N is the same oracle over a 2-node loopback ring: each payload
-// is POSTed to BOTH nodes, so roughly half the requests are forwarded to
-// their ring owner and half are computed locally, and every response must
-// still match the in-process engine byte for byte — routing may move
-// compute, never change it.
 //
 // Replaying a failure: a report names (seed, index); re-run just that case
 // with `verify_fuzz --seed N --replay INDEX`.
@@ -33,7 +27,6 @@
 #include <optional>
 #include <string>
 
-#include "cluster/node.hpp"
 #include "config/design_io.hpp"
 #include "engine/batch.hpp"
 #include "service/client.hpp"
@@ -65,9 +58,7 @@ void usage() {
          "  --out FILE        write the JSON report to FILE\n"
          "  --list-relations  print every metamorphic relation and exit\n"
          "  --server N        round-trip N payloads through a loopback\n"
-         "                    evaluation server instead (byte-exact oracle)\n"
-         "  --cluster N       the --server oracle over a 2-node loopback\n"
-         "                    ring (forwarded and local paths byte-exact)\n";
+         "                    evaluation server instead (byte-exact oracle)\n";
 }
 
 long long parseIntArg(int argc, char** argv, int& i, const std::string& flag) {
@@ -148,105 +139,6 @@ int runServerFuzz(std::uint64_t seed, int cases) {
   return failures == 0 ? 0 : 1;
 }
 
-/// The cluster oracle: a 2-node loopback ring; every payload goes to both
-/// nodes (one of them forwards to the owner) and both responses must be
-/// byte-identical to the in-process engine's evaluation.
-int runClusterFuzz(std::uint64_t seed, int cases) {
-  using namespace stordep;
-  using stordep::cluster::ClusterNode;
-  using stordep::cluster::ClusterNodeOptions;
-
-  service::ServerOptions serverOptions;
-  serverOptions.engineThreads = 2;
-  service::Server serverA(serverOptions);
-  service::Server serverB(serverOptions);
-  serverA.start();
-  serverB.start();
-
-  ClusterNodeOptions optionsA;
-  optionsA.nodeId = "fuzz-a";
-  ClusterNodeOptions optionsB;
-  optionsB.nodeId = "fuzz-b";
-  optionsB.seeds.emplace_back("127.0.0.1", static_cast<int>(serverA.port()));
-  ClusterNode nodeA(serverA, optionsA);
-  ClusterNode nodeB(serverB, optionsB);
-  nodeA.start();
-  nodeB.start();
-
-  // One extra explicit round each guarantees both rings hold both members
-  // before the first payload, regardless of heartbeat phase.
-  nodeB.gossipOnce();
-  nodeA.gossipOnce();
-  nodeB.gossipOnce();
-
-  engine::Engine reference(engine::EngineOptions{.threads = 1});
-  service::Client clientA("127.0.0.1", serverA.port());
-  service::Client clientB("127.0.0.1", serverB.port());
-
-  int failures = 0;
-  for (int index = 0; index < cases; ++index) {
-    const verify::CaseSpec spec =
-        verify::caseForSeed(seed, static_cast<std::uint64_t>(index));
-    const StorageDesign design = verify::makeDesign(spec);
-    const FailureScenario scenario = verify::makeScenario(spec);
-
-    config::Json payload{config::JsonObject{}};
-    payload.set("design", config::designToJson(design));
-    payload.set("scenario", config::scenarioToJson(scenario));
-    const std::string body = payload.dump();
-
-    const StorageDesign parsed =
-        config::designFromJson(config::designToJson(design));
-    const engine::EvalOutcome outcome =
-        reference.tryEvaluate(parsed, scenario);
-    std::string expectedBody;
-    int expectedStatus = 0;
-    if (outcome.ok()) {
-      expectedStatus = 200;
-      expectedBody =
-          service::evaluationToJson(parsed, scenario, outcome.value()).dump();
-    } else {
-      expectedStatus = service::httpStatusFor(outcome.error().code);
-      expectedBody = service::evalErrorToJson(outcome.error()).dump();
-    }
-
-    const char* nodeNames[2] = {"fuzz-a", "fuzz-b"};
-    service::Client* clients[2] = {&clientA, &clientB};
-    for (int n = 0; n < 2; ++n) {
-      const service::HttpClientResponse response = clients[n]->post(
-          "/v1/evaluate", body, {{"Content-Type", "application/json"}});
-      if (response.status != expectedStatus ||
-          response.body != expectedBody) {
-        ++failures;
-        std::cout << "FAIL cluster-round-trip via " << nodeNames[n]
-                  << " (case " << index << ")\n"
-                  << "  expected " << expectedStatus << ": " << expectedBody
-                  << "\n  got      " << response.status << ": "
-                  << response.body << "\n  replay: verify_fuzz --seed "
-                  << seed << " --cluster " << (index + 1)
-                  << "\n  case: " << verify::describeCase(spec) << "\n";
-      }
-    }
-  }
-
-  const config::Json metricsA = config::Json::parse(
-      clientA.get("/metrics").body);
-  std::uint64_t forwarded = 0;
-  if (const config::Json* section = metricsA.find("cluster")) {
-    if (const config::Json* f = section->find("evaluateForwarded")) {
-      forwarded = static_cast<std::uint64_t>(f->asNumber());
-    }
-  }
-
-  nodeB.stop();
-  nodeA.stop();
-  std::cout << "seed " << seed << ": " << cases
-            << " evaluate payloads through a 2-node ring (x2 entry points, "
-            << forwarded << " forwarded by fuzz-a), " << failures
-            << " mismatch(es)\n";
-  return failures == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -256,7 +148,6 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> replayIndex;
   std::string outPath;
   int serverCases = 0;
-  int clusterCases = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -290,8 +181,6 @@ int main(int argc, char** argv) {
       options.ioEvery = static_cast<int>(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--server") {
       serverCases = static_cast<int>(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--cluster") {
-      clusterCases = static_cast<int>(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--out") {
       if (i + 1 >= argc) {
         std::cerr << "verify_fuzz: --out needs a value\n";
@@ -315,7 +204,6 @@ int main(int argc, char** argv) {
   }
 
   if (serverCases > 0) return runServerFuzz(options.seed, serverCases);
-  if (clusterCases > 0) return runClusterFuzz(options.seed, clusterCases);
 
   const verify::FuzzReport report =
       replayIndex ? verify::replayCase(options.seed, *replayIndex, options)

@@ -36,16 +36,12 @@ void Membership::heardFrom(const std::string& id, const std::string& host,
   auto it = lowerBound(members_, id);
   if (it == members_.end() || it->id != id) {
     members_.insert(it, MemberInfo{id, host, port, MemberState::kAlive, now});
-    ++version_;
     return;
   }
   it->host = host;
   it->port = port;
   it->lastHeard = now;
-  if (it->state != MemberState::kAlive) {
-    it->state = MemberState::kAlive;
-    ++version_;
-  }
+  it->state = MemberState::kAlive;
 }
 
 void Membership::introduce(const std::string& id, const std::string& host,
@@ -55,11 +51,9 @@ void Membership::introduce(const std::string& id, const std::string& host,
   auto it = lowerBound(members_, id);
   if (it != members_.end() && it->id == id) return;
   members_.insert(it, MemberInfo{id, host, port, MemberState::kAlive, now});
-  ++version_;
 }
 
 void Membership::tick(std::chrono::steady_clock::time_point now) {
-  bool changed = false;
   for (auto it = members_.begin(); it != members_.end();) {
     if (it->id == selfId_) {
       it->lastHeard = now;
@@ -69,27 +63,14 @@ void Membership::tick(std::chrono::steady_clock::time_point now) {
     const auto silence = now - it->lastHeard;
     if (silence >= options_.evictAfter) {
       it = members_.erase(it);
-      changed = true;
       continue;
     }
-    if (silence >= options_.suspectAfter &&
-        it->state == MemberState::kAlive) {
-      it->state = MemberState::kSuspect;
-      changed = true;
-    }
+    if (silence >= options_.suspectAfter) it->state = MemberState::kSuspect;
     ++it;
   }
-  if (changed) ++version_;
 }
 
 std::vector<MemberInfo> Membership::snapshot() const { return members_; }
-
-std::vector<std::string> Membership::ringMemberIds() const {
-  std::vector<std::string> ids;
-  ids.reserve(members_.size());
-  for (const MemberInfo& m : members_) ids.push_back(m.id);
-  return ids;
-}
 
 std::optional<MemberInfo> Membership::find(const std::string& id) const {
   const auto it = lowerBound(members_, id);

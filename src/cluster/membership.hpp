@@ -16,19 +16,12 @@
 //                                                       │ evictAfter silence
 //                                                     evicted (forgotten)
 //
-// Suspect members stay on the hash ring — ownership must not flap on one
-// missed heartbeat or two nodes would briefly disagree about placement —
-// but the router stops forwarding to them (local-compute fallback). Only
-// eviction changes the ring, and eviction is deterministic in (last-heard
-// time, injected now), so every node that has seen the same pings rebuilds
-// the same ring.
-//
-// `version()` increments on any observable change (join, state transition,
-// eviction); callers rebuild derived structures when it moves.
+// A Suspect stays a member until it is evicted, but distributed sweeps
+// leave it out of their partitions: only Alive members are handed a grid
+// range.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,9 +42,9 @@ struct MembershipOptions {
   /// Heartbeat cadence (used by the node's gossip thread, recorded here so
   /// the whole timing contract lives in one struct).
   std::chrono::milliseconds heartbeatInterval{500};
-  /// Silence before an Alive peer turns Suspect (forwarding stops).
+  /// Silence before an Alive peer turns Suspect (left out of sweeps).
   std::chrono::milliseconds suspectAfter{2'000};
-  /// Silence before a Suspect peer is evicted (ring rebuilds without it).
+  /// Silence before a Suspect peer is evicted (forgotten).
   std::chrono::milliseconds evictAfter{6'000};
 };
 
@@ -77,16 +70,8 @@ class Membership {
   /// Applies suspicion/eviction timeouts at `now`. Self is exempt.
   void tick(std::chrono::steady_clock::time_point now);
 
-  /// Bumps on every observable change; compare across calls to decide
-  /// whether to rebuild the ring.
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-
   /// Every current member (self included), sorted by id.
   [[nodiscard]] std::vector<MemberInfo> snapshot() const;
-
-  /// Ids of every current member (Alive AND Suspect — the ring keeps
-  /// suspects), sorted.
-  [[nodiscard]] std::vector<std::string> ringMemberIds() const;
 
   [[nodiscard]] std::optional<MemberInfo> find(const std::string& id) const;
   [[nodiscard]] bool isAlive(const std::string& id) const;
@@ -103,7 +88,6 @@ class Membership {
   std::string selfId_;
   MembershipOptions options_;
   std::vector<MemberInfo> members_;  // sorted by id, self always present
-  std::uint64_t version_ = 1;
 };
 
 }  // namespace stordep::cluster

@@ -29,8 +29,7 @@ ClusterNode::ClusterNode(service::Server& server, ClusterNodeOptions options)
       options_(std::move(options)),
       membership_(options_.nodeId, options_.advertiseHost,
                   options_.advertisePort, options_.membership,
-                  std::chrono::steady_clock::now()),
-      router_(options_.router) {}
+                  std::chrono::steady_clock::now()) {}
 
 ClusterNode::~ClusterNode() { stop(); }
 
@@ -51,8 +50,6 @@ void ClusterNode::start() {
         Membership(options_.nodeId, options_.advertiseHost,
                    options_.advertisePort, options_.membership,
                    std::chrono::steady_clock::now());
-    lastRingVersion_ = 0;
-    maybeRebuildRingLocked();
   }
   server_.attachCluster(this);
   if (options_.enableHeartbeat) {
@@ -70,7 +67,6 @@ void ClusterNode::stop() {
   // server must be fully down before this node tears anything else apart.
   server_.shutdown();
   if (heartbeatThread_.joinable()) heartbeatThread_.join();
-  router_.stop();
   server_.attachCluster(nullptr);
 }
 
@@ -156,63 +152,6 @@ void ClusterNode::gossipOnce() {
 
   std::lock_guard<std::mutex> lock(mu_);
   membership_.tick(std::chrono::steady_clock::now());
-  maybeRebuildRingLocked();
-}
-
-void ClusterNode::maybeRebuildRingLocked() {
-  if (membership_.version() == lastRingVersion_) return;
-  ring_.rebuild(membership_.ringMemberIds(), options_.vnodes);
-  lastRingVersion_ = membership_.version();
-}
-
-bool ClusterNode::ownsEvaluation(const engine::Fingerprint& key,
-                                 std::string* ownerId) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) {
-    localOwned_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  const std::string& owner = ring_.ownerOf(key);
-  if (owner == options_.nodeId) {
-    localOwned_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  // Suspect owners stay on the ring (placement must not flap on one missed
-  // heartbeat) but are not forwarded to: compute locally instead.
-  if (!membership_.isAlive(owner)) {
-    localOwned_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (ownerId != nullptr) *ownerId = owner;
-  return false;
-}
-
-void ClusterNode::forwardEvaluate(
-    const std::string& ownerId, const std::string& body,
-    std::function<void(service::ForwardReply)> done) {
-  std::string host;
-  int port = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::optional<MemberInfo> info = membership_.find(ownerId);
-    if (info.has_value()) {
-      host = info->host;
-      port = info->port;
-    }
-  }
-  if (host.empty() || port <= 0) {
-    // The owner vanished between routing and forwarding; local fallback.
-    localFallback_.fetch_add(1, std::memory_order_relaxed);
-    done(service::ForwardReply{});
-    return;
-  }
-  router_.forward(host, port, body,
-                  [this, done = std::move(done)](service::ForwardReply reply) {
-                    if (!reply.ok) {
-                      localFallback_.fetch_add(1, std::memory_order_relaxed);
-                    }
-                    done(std::move(reply));
-                  });
 }
 
 config::Json ClusterNode::handlePing(const config::Json& body) {
@@ -225,7 +164,6 @@ config::Json ClusterNode::handlePing(const config::Json& body) {
     membership_.heardFrom(id->asString(), host->asString(),
                           static_cast<int>(port->asNumber()),
                           std::chrono::steady_clock::now());
-    maybeRebuildRingLocked();
   }
   Json response{JsonObject{}};
   response.set("id", Json(options_.nodeId));
@@ -250,7 +188,6 @@ config::Json ClusterNode::membersJson() {
   std::lock_guard<std::mutex> lock(mu_);
   Json doc{JsonObject{}};
   doc.set("node", Json(options_.nodeId));
-  doc.set("ringVersion", Json(static_cast<double>(lastRingVersion_)));
   doc.set("members", membersJsonLocked());
   return doc;
 }
@@ -259,32 +196,10 @@ config::Json ClusterNode::healthJson() {
   std::lock_guard<std::mutex> lock(mu_);
   Json doc{JsonObject{}};
   doc.set("nodeId", Json(options_.nodeId));
-  doc.set("ringPoints", Json(static_cast<double>(ring_.pointCount())));
   doc.set("membersAlive",
           Json(static_cast<double>(membership_.aliveCount())));
   doc.set("membersSuspect",
           Json(static_cast<double>(membership_.suspectCount())));
-  return doc;
-}
-
-config::Json ClusterNode::metricsJson() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Json doc{JsonObject{}};
-  doc.set("nodeId", Json(options_.nodeId));
-  doc.set("ringPoints", Json(static_cast<double>(ring_.pointCount())));
-  doc.set("membersAlive",
-          Json(static_cast<double>(membership_.aliveCount())));
-  doc.set("membersSuspect",
-          Json(static_cast<double>(membership_.suspectCount())));
-  doc.set("evaluateLocal", Json(static_cast<double>(
-                               localOwned_.load(std::memory_order_relaxed))));
-  doc.set("evaluateForwarded",
-          Json(static_cast<double>(router_.forwarded())));
-  doc.set("forwardFailures",
-          Json(static_cast<double>(router_.forwardFailures())));
-  doc.set("localFallbacks",
-          Json(static_cast<double>(
-              localFallback_.load(std::memory_order_relaxed))));
   return doc;
 }
 

@@ -1,37 +1,32 @@
-// node.hpp — one member of a sharded evaluation cluster.
+// node.hpp — one member of a multi-node evaluation cluster.
 //
-// A ClusterNode wires the pure pieces of this directory (HashRing,
-// Membership, Router, runClusterSweep) onto a running service::Server by
-// implementing its ClusterHooks seam:
+// A ClusterNode wires the pure pieces of this directory (Membership,
+// runClusterSweep) onto a running service::Server by implementing its
+// ClusterHooks seam:
 //
-//   * Placement: every single-item /v1/evaluate is keyed by its structural
-//     design fingerprint and routed to the ring owner; non-owners forward
-//     over the resilient router and fall back to local compute when the
-//     owner is degraded (suspect, breaker open, 5xx, transport failure).
-//     Evaluation is a pure function, so "wrong owner computed it" can never
-//     change a byte of the response — ownership only concentrates cache
-//     heat.
+//   * No placement: a member answers every /v1/evaluate it receives with
+//     its own engine, exactly as a plain server does. Evaluation is a pure
+//     function, so any member's answer is byte-identical to a single
+//     node's, and computing it costs less than the HTTP hop that forwarding
+//     it to another member would add (DESIGN.md "Cluster layer").
 //   * Membership: a heartbeat thread POSTs /v1/cluster/ping to seeds and
 //     known peers on the configured cadence, learns members transitively
 //     from ping responses, and applies the suspicion/eviction state machine
-//     (membership.hpp). The ring rebuilds whenever the member set's version
-//     moves — deterministically, so nodes that saw the same pings agree on
-//     placement.
+//     (membership.hpp).
 //   * Sweeps: cluster-mode /v1/search calls clusterSearch(), which
-//     partitions the design grid over the live members (sweep.hpp).
+//     partitions the design grid over the Alive members (sweep.hpp).
 //
 // Lifecycle: construct with a started (or about-to-start) Server, then
 // start() after server.start() — it reads the bound port for
 // advertisement, attaches the hooks and launches the heartbeat. stop()
 // shuts the SERVER down first (the loop thread reads the hooks pointer, so
-// the node must outlive the loop), then the heartbeat and router; the
-// destructor calls it. Declare the Server before the ClusterNode so
-// destruction order is node-then-server.
+// the node must outlive the loop), then the heartbeat; the destructor
+// calls it. Declare the Server before the ClusterNode so destruction order
+// is node-then-server.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -39,16 +34,13 @@
 #include <vector>
 
 #include "cluster/membership.hpp"
-#include "cluster/ring.hpp"
-#include "cluster/router.hpp"
 #include "service/cluster_hooks.hpp"
 #include "service/server.hpp"
 
 namespace stordep::cluster {
 
 struct ClusterNodeOptions {
-  /// Unique member id (required). Doubles as the ring hash salt, so ids
-  /// must be stable across restarts for placement to be stable.
+  /// Unique member id (required); sweeps assign grid ranges in id order.
   std::string nodeId;
 
   /// Address peers should dial. Port 0 = resolve from the server's bound
@@ -60,8 +52,6 @@ struct ClusterNodeOptions {
   std::vector<std::pair<std::string, int>> seeds;
 
   MembershipOptions membership;
-  int vnodes = kDefaultVnodes;
-  RouterOptions router;
 
   /// Tests that drive membership with injected time disable the real
   /// heartbeat thread.
@@ -80,28 +70,22 @@ class ClusterNode final : public service::ClusterHooks {
   /// server.start(); throws std::runtime_error if nodeId is empty.
   void start();
 
-  /// Server shutdown first, then heartbeat and router. Idempotent.
+  /// Server shutdown first, then the heartbeat. Idempotent.
   void stop();
 
   [[nodiscard]] const std::string& nodeId() const noexcept {
     return options_.nodeId;
   }
 
-  /// Forces one synchronous gossip round (dial seeds + peers, tick, rebuild
-  /// ring). The heartbeat thread does exactly this on its cadence; tests
-  /// and the serve binary's startup call it directly.
+  /// Forces one synchronous gossip round (dial seeds + peers, tick). The
+  /// heartbeat thread does exactly this on its cadence; tests and benches
+  /// call it directly.
   void gossipOnce();
 
   // -- ClusterHooks --------------------------------------------------------
-  bool ownsEvaluation(const engine::Fingerprint& key,
-                      std::string* ownerId) override;
-  void forwardEvaluate(const std::string& ownerId, const std::string& body,
-                       std::function<void(service::ForwardReply)> done)
-      override;
   config::Json handlePing(const config::Json& body) override;
   config::Json membersJson() override;
   config::Json healthJson() override;
-  config::Json metricsJson() override;
   optimizer::SearchResult clusterSearch(
       const service::ClusterSearchParams& params,
       const std::function<void(std::size_t done)>& onProgress,
@@ -109,25 +93,15 @@ class ClusterNode final : public service::ClusterHooks {
 
  private:
   void heartbeatLoop();
-  /// Rebuilds the ring iff membership's version moved. Caller holds mu_.
-  void maybeRebuildRingLocked();
   [[nodiscard]] config::Json membersJsonLocked() const;
 
   service::Server& server_;
   ClusterNodeOptions options_;
 
-  /// Guards membership_, ring_, lastRingVersion_ and advertisePort_.
-  /// Loop-thread hooks only take it for short map lookups — never across
-  /// I/O.
+  /// Guards membership_ and advertisePort_. Loop-thread hooks only take it
+  /// for short map lookups — never across I/O.
   mutable std::mutex mu_;
   Membership membership_;
-  HashRing ring_;
-  std::uint64_t lastRingVersion_ = 0;
-
-  Router router_;
-
-  std::atomic<std::uint64_t> localOwned_{0};     ///< owned → computed here
-  std::atomic<std::uint64_t> localFallback_{0};  ///< forward failed → local
 
   std::atomic<bool> stopping_{false};
   bool started_ = false;

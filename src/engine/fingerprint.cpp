@@ -283,8 +283,8 @@ Fingerprint hashWorkloadTokens(const WorkloadSpec& workload) {
 /// (mirroring levelToJson). Each referenced device contributes its *name*
 /// (what the JSON writes) and its full spec fingerprint via `fpFor`. The
 /// device section already covers the spec, so the second fold adds no
-/// distinguishing power; it stays so existing fingerprint values (and the
-/// cluster ring placement derived from them) do not move.
+/// distinguishing power; it stays so existing fingerprint values do not
+/// move.
 Fingerprint hashLevelTokens(
     const Technique& level,
     const std::function<Fingerprint(const DevicePtr&)>& fpFor) {
@@ -528,19 +528,6 @@ Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {
 Fingerprint fingerprintEvaluation(const StorageDesign& design,
                                   const FailureScenario& scenario) {
   return combine(fingerprintDesign(design), fingerprintScenario(scenario));
-}
-
-std::uint64_t ringPoint(const Fingerprint& fp) noexcept {
-  // splitmix64 finalizer over a fold of both words; the golden-ratio
-  // multiplier keeps lo's contribution from cancelling against hi for
-  // related fingerprints.
-  std::uint64_t x = fp.hi ^ (fp.lo * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
 }
 
 FingerprintCounters fingerprintCounters() noexcept {

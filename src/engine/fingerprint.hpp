@@ -96,13 +96,6 @@ struct FingerprintHash {
 [[nodiscard]] Fingerprint fingerprintEvaluation(const StorageDesign& design,
                                                 const FailureScenario& scenario);
 
-/// Folds a fingerprint into one well-mixed 64-bit value for consistent-hash
-/// placement (src/cluster): the shard ring is keyed on these points. A
-/// splitmix64-style finalizer over both words, so every fingerprint bit
-/// perturbs every point bit — uniform ring coverage regardless of how the
-/// FNV streams cluster.
-[[nodiscard]] std::uint64_t ringPoint(const Fingerprint& fp) noexcept;
-
 // ---- Perf counters ---------------------------------------------------------
 // Process-wide relaxed counters over every structural fingerprint computed.
 // Nanosecond accounting is off by default because the clock reads would

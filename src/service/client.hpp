@@ -116,8 +116,9 @@ struct ClientOptions {
   /// Bound on TCP connection establishment, enforced with a non-blocking
   /// connect + poll. 0 = plain blocking connect, which on Linux means the
   /// kernel's SYN-retry schedule (~2 minutes) against a black-holed peer —
-  /// the cluster router always sets this so a dead owner fails fast into
-  /// the local-compute fallback instead of stalling the forwarding node.
+  /// cluster gossip and sweep workers always set this so a dead member
+  /// fails fast (a missed heartbeat, a range re-run locally) instead of
+  /// stalling the caller.
   std::chrono::milliseconds connectTimeout{0};
 };
 

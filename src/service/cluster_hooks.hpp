@@ -4,16 +4,14 @@
 // ResilientClient and runs beside a Server), so the server cannot link the
 // cluster back. Instead the server holds a ClusterHooks* — implemented by
 // cluster::ClusterNode — and consults it for everything cluster-shaped:
-// key ownership, request forwarding, gossip endpoints, distributed sweeps,
-// and the observability sections of /healthz and /metrics. A server with no
-// hooks attached behaves exactly as before this layer existed.
+// gossip endpoints, distributed sweeps, and the observability sections of
+// /healthz and /metrics. /v1/evaluate never consults it: every member
+// answers the evaluate requests it receives with its own engine, exactly
+// as a server with no hooks attached does.
 //
-// Threading contract: ownsEvaluation / handlePing / membersJson /
-// healthJson / metricsJson are called on the server's event-loop thread and
-// must not block. forwardEvaluate must return immediately and invoke `done`
-// later from any thread (the server re-enters itself through its
-// cross-thread completion queue). clusterSearch runs on a detached
-// per-request worker thread and may block for the whole sweep.
+// Threading contract: handlePing / membersJson / healthJson are called on
+// the server's event-loop thread and must not block. clusterSearch runs on
+// a detached per-request worker thread and may block for the whole sweep.
 #pragma once
 
 #include <cstddef>
@@ -22,18 +20,9 @@
 
 #include "config/json.hpp"
 #include "engine/batch.hpp"
-#include "engine/fingerprint.hpp"
 #include "optimizer/search.hpp"
 
 namespace stordep::service {
-
-/// Outcome of one forwarded exchange. When !ok the forwarding node falls
-/// back to computing locally (the owner is degraded, not the request).
-struct ForwardReply {
-  bool ok = false;
-  int status = 0;
-  std::string body;
-};
 
 /// Parameters of a cluster-mode /v1/search, parsed by the server.
 struct ClusterSearchParams {
@@ -52,18 +41,6 @@ class ClusterHooks {
  public:
   virtual ~ClusterHooks() = default;
 
-  /// True when this node owns `key`. When false, `ownerId` receives the
-  /// owner's member id iff the owner is currently forwardable (alive and
-  /// not self); an un-forwardable owner reports true (compute locally).
-  virtual bool ownsEvaluation(const engine::Fingerprint& key,
-                              std::string* ownerId) = 0;
-
-  /// Forwards a request body to `ownerId`'s /v1/evaluate and calls `done`
-  /// exactly once from a router thread.
-  virtual void forwardEvaluate(const std::string& ownerId,
-                               const std::string& body,
-                               std::function<void(ForwardReply)> done) = 0;
-
   /// Gossip receive path: records the pinging peer and returns this node's
   /// member list (the /v1/cluster/ping response document).
   virtual config::Json handlePing(const config::Json& body) = 0;
@@ -71,9 +48,8 @@ class ClusterHooks {
   /// The /v1/cluster/members document.
   virtual config::Json membersJson() = 0;
 
-  /// Node-identity sections merged into /healthz and /metrics.
+  /// The node-identity section merged into both /healthz and /metrics.
   virtual config::Json healthJson() = 0;
-  virtual config::Json metricsJson() = 0;
 
   /// Runs one distributed sweep (partition ranges, drive remote workers,
   /// merge, reassign dead ranges). Blocks until done; `onProgress` receives

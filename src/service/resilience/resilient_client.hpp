@@ -67,8 +67,8 @@ struct ResilientClientOptions {
   /// Socket-level send/recv timeout per attempt.
   std::chrono::milliseconds timeout{30'000};
   /// Bound on TCP connection establishment per attempt (0 = blocking
-  /// connect; see ClientOptions::connectTimeout). The cluster router sets
-  /// this so forwarding to a black-holed owner fails fast.
+  /// connect; see ClientOptions::connectTimeout). Cluster sweeps set this
+  /// so a range on a black-holed member fails fast into a local re-run.
   std::chrono::milliseconds connectTimeout{0};
   std::uint64_t seed = 1;
 };

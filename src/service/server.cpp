@@ -476,7 +476,7 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
     HttpResponse response;
     response.headers.emplace_back("Content-Type", "application/json");
     Json snapshot = metrics_.snapshot(*engine_);
-    if (cluster != nullptr) snapshot.set("cluster", cluster->metricsJson());
+    if (cluster != nullptr) snapshot.set("cluster", cluster->healthJson());
     response.body = snapshot.pretty();
     sendResponse(conn, response, keepAlive);
     metrics_.metricsEndpoint.record(200,
@@ -642,52 +642,6 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   job->start = start;
   if (explicitDeadline || deadline.count() > 0) {
     job->token = engine::CancellationToken{}.withDeadline(deadline);
-  }
-
-  // Cluster routing, checked before local brown-out shedding (the owner
-  // applies its own): a single-evaluation request whose owner shard is a
-  // live peer is forwarded there, making the fleet one distributed cache.
-  // The X-Stordep-Forwarded guard means a forwarded request is always
-  // computed where it lands, so two momentarily divergent rings cannot
-  // bounce a request back and forth.
-  if (ClusterHooks* cluster = cluster_.load(std::memory_order_acquire);
-      cluster != nullptr && job->items.size() == 1 &&
-      request.header("x-stordep-forwarded") == nullptr) {
-    std::string ownerId;
-    const engine::Fingerprint key = engine::fingerprintEvaluation(
-        *job->items[0].design, job->items[0].scenario);
-    if (!cluster->ownsEvaluation(key, &ownerId)) {
-      conn.waiting = true;  // paused until the forward (or fallback) lands
-      cluster->forwardEvaluate(
-          ownerId, request.body, [this, job](ForwardReply reply) {
-            HttpResponse response;
-            response.headers.emplace_back("Content-Type", "application/json");
-            if (reply.ok) {
-              // Re-frame the owner's envelope verbatim: byte-identical to
-              // what this node would have produced for the same body.
-              response.status = reply.status;
-              response.body = std::move(reply.body);
-            } else {
-              // Owner degraded: compute locally (the task answers). After
-              // kStopped the loop has exited: there is nobody to answer.
-              if (submitEvaluate(job) != Admission::kQueueFull) return;
-              metrics_.rejectedQueueFull.fetch_add(1,
-                                                   std::memory_order_relaxed);
-              response.status = 429;
-              response.headers.emplace_back(
-                  "Retry-After", std::to_string(options_.retryAfterSeconds));
-              response.body =
-                  serviceErrorBody("queue-full", "evaluation queue is full")
-                      .dump();
-            }
-            metrics_.evaluate.record(
-                response.status, std::chrono::steady_clock::now() - job->start);
-            queueCompletion(job->connId,
-                            serializeResponse(response, job->keepAlive),
-                            /*thenClose=*/!job->keepAlive);
-          });
-      return;
-    }
   }
 
   // Brown-out shedding. Tier 3 drops everything; tier 2 admits only

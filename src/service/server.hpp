@@ -230,7 +230,7 @@ class Server {
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<int, std::uint64_t> fdToConn_;
 
-  // Cross-thread completion queue (evaluate tasks, cluster router → loop).
+  // Cross-thread completion queue (evaluate tasks → loop).
   std::mutex completionsMu_;
   struct Completion {
     std::uint64_t connId;

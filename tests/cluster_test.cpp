@@ -1,10 +1,9 @@
-// Cluster-layer tests: ring determinism and minimal rebalancing, the
-// injected-clock membership state machine (suspicion, eviction, rejoin,
-// insert-only introduction), the grid partitioner's exact-concatenation
-// property, and loopback integration:
-//   * a 2-node ring answers /v1/evaluate byte-identically to a plain
-//     single-node server whichever node the client dials (forwarding moves
-//     compute, never bytes);
+// Cluster-layer tests: the injected-clock membership state machine
+// (suspicion, eviction, rejoin, insert-only introduction), the grid
+// partitioner's exact-concatenation property, and loopback integration:
+//   * a 2-node cluster answers /v1/evaluate byte-identically to a plain
+//     single-node server whichever node the client dials, and each member
+//     answers exactly the requests dialled to it;
 //   * a 3-node distributed sweep whose worker is killed mid-range resumes
 //     from the worker's checkpoint journal on the coordinator and produces
 //     the exact single-node final ranking.
@@ -23,11 +22,9 @@
 #include "casestudy/casestudy.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/node.hpp"
-#include "cluster/ring.hpp"
 #include "cluster/sweep.hpp"
 #include "config/design_io.hpp"
 #include "engine/batch.hpp"
-#include "engine/fingerprint.hpp"
 #include "optimizer/search.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -41,85 +38,13 @@ using config::JsonObject;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-// ---- Consistent-hash ring --------------------------------------------------
-
-std::vector<engine::Fingerprint> sampleKeys(int count) {
-  std::vector<engine::Fingerprint> keys;
-  keys.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    keys.push_back(engine::fingerprintBytes("key-" + std::to_string(i)));
-  }
-  return keys;
-}
-
-TEST(HashRing, OwnershipIsOrderIndependent) {
-  HashRing forward;
-  forward.rebuild({"alpha", "beta", "gamma"});
-  HashRing reversed;
-  reversed.rebuild({"gamma", "beta", "alpha"});
-  HashRing withDuplicates;
-  withDuplicates.rebuild({"beta", "alpha", "gamma", "alpha"});
-
-  EXPECT_EQ(forward.memberCount(), 3u);
-  EXPECT_EQ(forward.pointCount(), 3u * kDefaultVnodes);
-  EXPECT_EQ(withDuplicates.memberCount(), 3u);
-
-  for (const engine::Fingerprint& key : sampleKeys(256)) {
-    const std::string& owner = forward.ownerOf(key);
-    EXPECT_EQ(owner, reversed.ownerOf(key));
-    EXPECT_EQ(owner, withDuplicates.ownerOf(key));
-  }
-}
-
-TEST(HashRing, RemovingAMemberOnlyMovesItsOwnKeys) {
-  HashRing three;
-  three.rebuild({"alpha", "beta", "gamma"});
-  HashRing two;
-  two.rebuild({"alpha", "gamma"});
-
-  int moved = 0;
-  const std::vector<engine::Fingerprint> keys = sampleKeys(512);
-  for (const engine::Fingerprint& key : keys) {
-    const std::string before = three.ownerOf(key);
-    const std::string after = two.ownerOf(key);
-    if (before != "beta") {
-      // Consistent hashing's whole point: survivors keep their keys.
-      EXPECT_EQ(before, after) << "key moved between surviving members";
-    } else {
-      ++moved;
-      EXPECT_TRUE(after == "alpha" || after == "gamma");
-    }
-  }
-  // beta owned roughly a third of the keyspace.
-  EXPECT_GT(moved, 0);
-  EXPECT_LT(moved, static_cast<int>(keys.size()));
-}
-
-TEST(HashRing, VnodesSpreadOwnershipAcrossMembers) {
-  HashRing ring;
-  ring.rebuild({"alpha", "beta", "gamma"});
-  int counts[3] = {0, 0, 0};
-  for (const engine::Fingerprint& key : sampleKeys(3000)) {
-    const std::string& owner = ring.ownerOf(key);
-    if (owner == "alpha") ++counts[0];
-    if (owner == "beta") ++counts[1];
-    if (owner == "gamma") ++counts[2];
-  }
-  // With 64 vnodes each share should land well away from degenerate; allow
-  // a generous band (an unsalted single-point ring can easily hit 70/20/10).
-  for (int c : counts) {
-    EXPECT_GT(c, 3000 / 6);
-    EXPECT_LT(c, 3000 / 2);
-  }
-}
-
-TEST(HashRing, EmptyRingOwnsNothing) {
-  HashRing ring;
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.ownerOf(engine::fingerprintBytes("x")), "");
-}
-
 // ---- Membership (injected clock) -------------------------------------------
+
+std::vector<std::string> memberIds(const Membership& membership) {
+  std::vector<std::string> ids;
+  for (const MemberInfo& m : membership.snapshot()) ids.push_back(m.id);
+  return ids;
+}
 
 TEST(Membership, SuspicionEvictionAndRejoin) {
   const auto t0 = steady_clock::now();
@@ -129,30 +54,26 @@ TEST(Membership, SuspicionEvictionAndRejoin) {
   membership.heardFrom("peer", "127.0.0.1", 1001, t0);
   EXPECT_TRUE(membership.isAlive("peer"));
   EXPECT_EQ(membership.aliveCount(), 2u);
-  const std::uint64_t joined = membership.version();
 
   // Just under the suspicion bound: nothing changes.
   membership.tick(t0 + milliseconds{1999});
   EXPECT_TRUE(membership.isAlive("peer"));
-  EXPECT_EQ(membership.version(), joined);
 
-  // Past it: Suspect, but STILL a ring member (ownership must not flap).
+  // Past it: Suspect, but STILL a member until eviction.
   membership.tick(t0 + milliseconds{2001});
   EXPECT_FALSE(membership.isAlive("peer"));
   EXPECT_EQ(membership.suspectCount(), 1u);
-  ASSERT_EQ(membership.ringMemberIds().size(), 2u);
-  const std::uint64_t suspected = membership.version();
-  EXPECT_GT(suspected, joined);
+  ASSERT_EQ(memberIds(membership),
+            (std::vector<std::string>{"peer", "self"}));
 
   // Heard again: back to Alive.
   membership.heardFrom("peer", "127.0.0.1", 1001, t0 + milliseconds{2500});
   EXPECT_TRUE(membership.isAlive("peer"));
-  EXPECT_GT(membership.version(), suspected);
 
-  // Silence all the way through eviction: gone from the ring entirely.
+  // Silence all the way through eviction: gone from the member set.
   membership.tick(t0 + milliseconds{2500} + options.evictAfter);
   EXPECT_FALSE(membership.find("peer").has_value());
-  EXPECT_EQ(membership.ringMemberIds(), std::vector<std::string>{"self"});
+  EXPECT_EQ(memberIds(membership), std::vector<std::string>{"self"});
 
   // Rejoin is an ordinary join.
   membership.heardFrom("peer", "127.0.0.1", 1001, t0 + milliseconds{20'000});
@@ -182,7 +103,7 @@ TEST(Membership, SelfIsExemptFromTimeouts) {
   Membership membership("self", "127.0.0.1", 1000, MembershipOptions{}, t0);
   membership.tick(t0 + std::chrono::hours{1});
   EXPECT_TRUE(membership.isAlive("self"));
-  EXPECT_EQ(membership.ringMemberIds(), std::vector<std::string>{"self"});
+  EXPECT_EQ(memberIds(membership), std::vector<std::string>{"self"});
 }
 
 // ---- Grid partitioner ------------------------------------------------------
@@ -266,7 +187,7 @@ TEST(PartitionGrid, MergedPartitionRankingIsBitIdentical) {
 
 // ---- Loopback: 2-node byte-identity ----------------------------------------
 
-TEST(ClusterLoopback, TwoNodeRingAnswersByteIdenticallyToSingleNode) {
+TEST(ClusterLoopback, TwoNodeClusterAnswersByteIdenticallyToSingleNode) {
   service::ServerOptions serverOptions;
   serverOptions.engineThreads = 2;
 
@@ -296,6 +217,7 @@ TEST(ClusterLoopback, TwoNodeRingAnswersByteIdenticallyToSingleNode) {
   service::Client clientA("127.0.0.1", serverA.port());
   service::Client clientB("127.0.0.1", serverB.port());
 
+  int dialled = 0;  // payloads posted to each member
   for (const auto& [label, design] : cs::allWhatIfDesigns()) {
     for (const FailureScenario& scenario :
          {cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()}) {
@@ -303,6 +225,7 @@ TEST(ClusterLoopback, TwoNodeRingAnswersByteIdenticallyToSingleNode) {
       payload.set("design", config::designToJson(design));
       payload.set("scenario", config::scenarioToJson(scenario));
       const std::string body = payload.dump();
+      ++dialled;
 
       const service::HttpClientResponse expected = clientPlain.post(
           "/v1/evaluate", body, {{"Content-Type", "application/json"}});
@@ -318,18 +241,14 @@ TEST(ClusterLoopback, TwoNodeRingAnswersByteIdenticallyToSingleNode) {
     }
   }
 
-  // The split actually exercised forwarding: with two members on the ring,
-  // some of the 27 keys must land on the remote owner from each entry node.
-  const Json metricsA = Json::parse(clientA.get("/metrics").body);
-  const Json metricsB = Json::parse(clientB.get("/metrics").body);
-  std::uint64_t forwarded = 0;
-  for (const Json* metrics : {&metricsA, &metricsB}) {
-    const Json* section = metrics->find("cluster");
-    ASSERT_NE(section, nullptr);
-    forwarded += static_cast<std::uint64_t>(
-        section->at("evaluateForwarded").asNumber());
+  // No request crosses between members: each one answered exactly the
+  // payloads dialled to it, none on behalf of its peer.
+  for (service::Client* client : {&clientA, &clientB}) {
+    const Json metrics = Json::parse(client->get("/metrics").body);
+    ASSERT_NE(metrics.find("cluster"), nullptr);
+    EXPECT_EQ(metrics.at("endpoints").at("evaluate").at("requests").asNumber(),
+              static_cast<double>(dialled));
   }
-  EXPECT_GT(forwarded, 0u);
 
   nodeB.stop();
   nodeA.stop();
@@ -350,8 +269,6 @@ TEST(ClusterLoopback, HealthzAndMembersReportNodeIdentity) {
   const Json* section = health.find("cluster");
   ASSERT_NE(section, nullptr);
   EXPECT_EQ(section->at("nodeId").asString(), "solo");
-  EXPECT_EQ(static_cast<int>(section->at("ringPoints").asNumber()),
-            kDefaultVnodes);
   EXPECT_EQ(static_cast<int>(section->at("membersAlive").asNumber()), 1);
 
   const Json members = Json::parse(client.get("/v1/cluster/members").body);
