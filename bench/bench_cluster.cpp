@@ -23,8 +23,6 @@
 // member's engine threads (3 x kEngineThreadsPerNode). On smaller hosts the
 // ratio is reported in BENCH_cluster.json with speedupGated false, because
 // the members' engine threads time-slice the same cores instead of scaling.
-#include <sys/utsname.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -35,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "casestudy/casestudy.hpp"
 #include "cluster/node.hpp"
 #include "config/design_io.hpp"
@@ -133,12 +132,6 @@ svc::ServerOptions nodeServerOptions() {
   svc::ServerOptions options;
   options.engineThreads = kEngineThreadsPerNode;
   return options;
-}
-
-std::string hostDescription() {
-  utsname name{};
-  if (uname(&name) != 0) return "unknown";
-  return std::string(name.sysname) + " " + name.release + " " + name.machine;
 }
 
 }  // namespace
@@ -265,8 +258,8 @@ int main() {
 
   Json doc{JsonObject{}};
   doc.set("bench", Json("cluster"));
-  doc.set("compiler", Json(__VERSION__));
-  doc.set("host", Json(hostDescription()));
+  doc.set("compiler", Json(stordep::bench::kCompiler));
+  doc.set("host", Json(stordep::bench::hostDescription()));
   doc.set("nodes", Json(static_cast<std::int64_t>(kNodes)));
   doc.set("engineThreadsPerNode",
           Json(static_cast<std::int64_t>(kEngineThreadsPerNode)));

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "casestudy/casestudy.hpp"
 #include "config/json.hpp"
 #include "engine/batch.hpp"
@@ -125,6 +126,8 @@ int main() {
 
   Json doc{JsonObject{}};
   doc.set("bench", Json("parallel_search"));
+  doc.set("compiler", Json(stordep::bench::kCompiler));
+  doc.set("host", Json(stordep::bench::hostDescription()));
   doc.set("candidates", Json(static_cast<std::int64_t>(candidates.size())));
   doc.set("scenarios", Json(static_cast<std::int64_t>(scenarios.size())));
   doc.set("hardwareThreads",
@@ -204,35 +207,57 @@ int main() {
   // than once per scenario — so the hard guards are the machine-independent
   // contracts: no divergence, the warm (memoized) sweep beats serial, and
   // cold streaming stays within 30% of serial even with no cores to fan
-  // out to.
+  // out to. Each run takes a few tenths of a second, so both sides of the
+  // cold gate run kBigGridAttempts times and the gate compares the fastest
+  // of each; every cold run's ranking is checked.
   {
+    constexpr int kBigGridAttempts = 3;
     const opt::DesignSpaceOptions bigOptions = bigGridOptions();
     const std::vector<opt::CandidateSpec> bigGrid =
         opt::enumerateDesignSpace(bigOptions);
+    const auto keepFastest = [](opt::SearchResult& best,
+                                opt::SearchResult run) {
+      if (best.wallSeconds <= 0.0 || run.wallSeconds < best.wallSeconds) {
+        best = std::move(run);
+      }
+    };
 
-    const opt::SearchResult bigSerial =
-        opt::searchDesignSpaceSerial(bigGrid, workload, business, scenarios);
+    opt::SearchResult bigSerial;
+    for (int attempt = 0; attempt < kBigGridAttempts; ++attempt) {
+      keepFastest(bigSerial, opt::searchDesignSpaceSerial(
+                                 bigGrid, workload, business, scenarios));
+    }
 
-    stordep::engine::Engine engine(stordep::engine::EngineOptions{});
-    opt::SearchOptions searchOptions;
-    searchOptions.eng = &engine;
-    // Legacy reference section, like the thread runs above.
-    searchOptions.usePlan = false;
+    opt::SearchResult cold;
+    opt::SearchResult warm;
+    bool coldDiverged = false;
+    for (int attempt = 0; attempt < kBigGridAttempts; ++attempt) {
+      stordep::engine::Engine engine(stordep::engine::EngineOptions{});
+      opt::SearchOptions searchOptions;
+      searchOptions.eng = &engine;
+      // Legacy reference section, like the thread runs above.
+      searchOptions.usePlan = false;
 
-    opt::DesignSpaceCursor coldCursor(bigOptions);
-    const opt::SearchResult cold = opt::searchDesignSpaceStreaming(
-        coldCursor, workload, business, scenarios, searchOptions);
+      opt::DesignSpaceCursor coldCursor(bigOptions);
+      opt::SearchResult coldRun = opt::searchDesignSpaceStreaming(
+          coldCursor, workload, business, scenarios, searchOptions);
+      coldDiverged = coldDiverged || !sameRanking(bigSerial, coldRun);
+      keepFastest(cold, std::move(coldRun));
 
-    opt::DesignSpaceCursor warmCursor(bigOptions);
-    const opt::SearchResult warm = opt::searchDesignSpaceStreaming(
-        warmCursor, workload, business, scenarios, searchOptions);
+      if (attempt == 0) {
+        // The warm sweep re-runs the grid on the engine a cold sweep filled.
+        opt::DesignSpaceCursor warmCursor(bigOptions);
+        warm = opt::searchDesignSpaceStreaming(warmCursor, workload, business,
+                                               scenarios, searchOptions);
+      }
+    }
 
     if (bigGrid.size() < 10000) {
       std::cerr << "FAIL: big grid produced only " << bigGrid.size()
                 << " candidates (< 10000)\n";
       ok = false;
     }
-    if (!sameRanking(bigSerial, cold) || !sameRanking(bigSerial, warm)) {
+    if (coldDiverged || !sameRanking(bigSerial, warm)) {
       std::cerr << "FAIL: streaming sweep ranking diverged from serial on "
                 << bigGrid.size() << " candidates\n";
       ok = false;

@@ -14,17 +14,24 @@
 //   * every mode agrees on every bit of the result envelope — parallelism
 //     and the plan are wall-time knobs, never result knobs.
 //
+// Each mode repeats its run (same trials, same seed) until the trial loops it
+// timed add up to at least kMinTimedSeconds, and the rate gates read each
+// mode's best repetition: a single 10,000-trial plan loop takes a few
+// milliseconds, too short to gate on a shared host. Every repetition's
+// envelope must still be bit-identical to every other mode's.
+//
 // The mission workload overrides every device to a 30-day exponential
 // failure process (12-hour repairs) plus 2 site shocks/year, so trials are
 // replay-heavy (~40 events/year) rather than RNG-bound; that is the regime
 // the plan's precompiled scenario rows accelerate.
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "bench_host.hpp"
 #include "casestudy/casestudy.hpp"
 #include "config/json.hpp"
 #include "core/reliability.hpp"
@@ -50,6 +57,8 @@ constexpr double kConditionalSpeedupFloor = 5.0;
 // The 8-thread plan must finish the mission sample in <= wall/this of the
 // serial legacy loop.
 constexpr double kMissionSpeedupFloor = 4.0;
+// Each mode repeats its run until the trial loops it timed add up to this.
+constexpr double kMinTimedSeconds = 0.100;
 
 st::StochasticOptions optionsFor(int threads, bool usePlan) {
   st::StochasticOptions opts;
@@ -130,6 +139,45 @@ constexpr Mode kModes[] = {
     {"plan", 8, true},
 };
 
+/// One mode's repetitions: the fastest envelope (by its own trial-loop
+/// wall clock) and how many runs it took to time kMinTimedSeconds.
+template <typename Envelope>
+struct Repeated {
+  Envelope best;
+  int repetitions = 0;
+};
+
+/// Runs `run` (returning engine::Expected<Envelope>) until the summed
+/// wallSeconds reach kMinTimedSeconds. Every envelope must be bit-identical
+/// to `reference`, which the first envelope of the first mode sets; a
+/// mismatch clears `allIdentical`. Returns nullopt if a run errors.
+template <typename Envelope, typename Run>
+std::optional<Repeated<Envelope>> repeatTimed(
+    Run run, std::optional<Envelope>& reference, bool& allIdentical) {
+  Repeated<Envelope> out;
+  double timed = 0.0;
+  while (timed < kMinTimedSeconds) {
+    auto outcome = run();
+    if (!outcome.ok()) {
+      std::cerr << "FAIL: evaluation errored: " << outcome.error().describe()
+                << "\n";
+      return std::nullopt;
+    }
+    const Envelope& envelope = outcome.value();
+    if (!reference) {
+      reference = envelope;
+    } else if (!identical(*reference, envelope)) {
+      allIdentical = false;
+    }
+    if (out.repetitions == 0 || envelope.wallSeconds < out.best.wallSeconds) {
+      out.best = envelope;
+    }
+    timed += envelope.wallSeconds;
+    ++out.repetitions;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -140,9 +188,9 @@ int main() {
   const stordep::StorageDesign design = cs::weeklyVaultFullPlusIncremental();
   const stordep::FailureScenario scenario = cs::arrayFailure();
 
-  TextTable table({"Phase", "Mode", "Threads", "Trials", "Wall (s)",
-                   "Trials/sec"});
-  for (size_t c = 2; c < 6; ++c) table.align(c, Align::kRight);
+  TextTable table({"Phase", "Mode", "Threads", "Trials", "Reps",
+                   "Best wall (s)", "Trials/sec"});
+  for (size_t c = 2; c < 7; ++c) table.align(c, Align::kRight);
   table.title("Monte-Carlo throughput (weekly vault F+I, array failure)");
 
   bool ok = true;
@@ -153,33 +201,35 @@ int main() {
   doc.set("missionTrials", Json(static_cast<std::int64_t>(kMissionTrials)));
   doc.set("seedLegacyConditionalTrialsPerSec",
           Json(kSeedLegacyConditionalTrialsPerSec));
+  doc.set("compiler", Json(stordep::bench::kCompiler));
+  doc.set("host", Json(stordep::bench::hostDescription()));
 
   // --- Conditional distribution: legacy, plan serial, plan 8T ------------
-  st::ScenarioDistribution conditional[3];
+  std::optional<st::ScenarioDistribution> condReference;
+  bool condIdentical = true;
   double condRate[3] = {0, 0, 0};
+  int condReps[3] = {0, 0, 0};
   for (int i = 0; i < 3; ++i) {
     const Mode& mode = kModes[i];
     const st::StochasticEvaluator eval(design,
                                        optionsFor(mode.threads, mode.usePlan));
-    const auto outcome = eval.distributionFor(scenario);
-    if (!outcome.ok()) {
-      std::cerr << "FAIL: conditional evaluation errored: "
-                << outcome.error().describe() << "\n";
-      return 1;
-    }
-    conditional[i] = outcome.value();
+    const auto runs = repeatTimed<st::ScenarioDistribution>(
+        [&] { return eval.distributionFor(scenario); }, condReference,
+        condIdentical);
+    if (!runs) return 1;
     // The envelope's own timing covers exactly the trial loop (the part the
     // plan compiles away), not the shared quantile post-pass.
-    condRate[i] = conditional[i].trialsPerSec;
+    condRate[i] = runs->best.trialsPerSec;
+    condReps[i] = runs->repetitions;
     table.addRow({"conditional", mode.label, std::to_string(mode.threads),
                   std::to_string(kConditionalTrials),
-                  fixed(conditional[i].wallSeconds, 3),
-                  fixed(condRate[i], 0)});
+                  std::to_string(condReps[i]),
+                  fixed(runs->best.wallSeconds, 4), fixed(condRate[i], 0)});
   }
-  if (!identical(conditional[0], conditional[1]) ||
-      !identical(conditional[1], conditional[2])) {
-    std::cerr << "FAIL: conditional envelope differs across modes "
-                 "(plan-vs-legacy / thread-count determinism broken)\n";
+  if (!condIdentical) {
+    std::cerr << "FAIL: conditional envelope differs across modes or "
+                 "repetitions (plan-vs-legacy / thread-count determinism "
+                 "broken)\n";
     ok = false;
   }
   const double condSpeedup = condRate[1] / condRate[0];
@@ -200,32 +250,33 @@ int main() {
 
   // --- Mission-window sample: replay-heavy reliability --------------------
   const stordep::ReliabilitySpec heavy = missionReliability(design);
-  st::AnnualizedRisk mission[3];
+  std::optional<st::AnnualizedRisk> missionReference;
+  bool missionIdentical = true;
   double missionWall[3] = {0, 0, 0};
   double missionRate[3] = {0, 0, 0};
+  int missionReps[3] = {0, 0, 0};
   for (int i = 0; i < 3; ++i) {
     const Mode& mode = kModes[i];
     st::StochasticOptions opts = optionsFor(mode.threads, mode.usePlan);
     opts.trials = kMissionTrials;
     opts.reliability = heavy;
     const st::StochasticEvaluator eval(design, opts);
-    const auto outcome = eval.annualizedRisk();
-    if (!outcome.ok()) {
-      std::cerr << "FAIL: mission-window evaluation errored: "
-                << outcome.error().describe() << "\n";
-      return 1;
-    }
-    mission[i] = outcome.value();
-    missionWall[i] = mission[i].wallSeconds;
-    missionRate[i] = mission[i].trialsPerSec;
+    const auto runs = repeatTimed<st::AnnualizedRisk>(
+        [&] { return eval.annualizedRisk(); }, missionReference,
+        missionIdentical);
+    if (!runs) return 1;
+    missionWall[i] = runs->best.wallSeconds;
+    missionRate[i] = runs->best.trialsPerSec;
+    missionReps[i] = runs->repetitions;
     table.addRow({"mission", mode.label, std::to_string(mode.threads),
-                  std::to_string(kMissionTrials), fixed(missionWall[i], 3),
+                  std::to_string(kMissionTrials),
+                  std::to_string(missionReps[i]), fixed(missionWall[i], 4),
                   fixed(missionRate[i], 0)});
   }
-  if (!identical(mission[0], mission[1]) ||
-      !identical(mission[1], mission[2])) {
-    std::cerr << "FAIL: annualized-risk envelope differs across modes "
-                 "(plan-vs-legacy / thread-count determinism broken)\n";
+  if (!missionIdentical) {
+    std::cerr << "FAIL: annualized-risk envelope differs across modes or "
+                 "repetitions (plan-vs-legacy / thread-count determinism "
+                 "broken)\n";
     ok = false;
   }
   const double missionSpeedup = missionWall[0] / missionWall[2];
@@ -245,6 +296,15 @@ int main() {
             << "x\nall modes bit-identical and gates met: "
             << (ok ? "yes" : "NO") << "\n";
 
+  const auto repetitions = [](const int (&reps)[3]) {
+    Json out{JsonObject{}};
+    out.set("legacy1T", Json(reps[0]));
+    out.set("plan1T", Json(reps[1]));
+    out.set("plan8T", Json(reps[2]));
+    return out;
+  };
+  doc.set("conditionalRepetitions", repetitions(condReps));
+  doc.set("missionRepetitions", repetitions(missionReps));
   doc.set("conditionalLegacyTrialsPerSec1T", Json(condRate[0]));
   doc.set("conditionalTrialsPerSec1T", Json(condRate[1]));
   doc.set("conditionalTrialsPerSec8T", Json(condRate[2]));
@@ -253,7 +313,7 @@ int main() {
   doc.set("missionTrialsPerSec1T", Json(missionRate[1]));
   doc.set("missionTrialsPerSec8T", Json(missionRate[2]));
   doc.set("missionPlan8TSpeedup", Json(missionSpeedup));
-  doc.set("eventsPerYear", Json(mission[0].eventsPerYear));
+  doc.set("eventsPerYear", Json(missionReference->eventsPerYear));
   doc.set("deterministic", Json(ok));
   doc.set("ok", Json(ok));
 

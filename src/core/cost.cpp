@@ -1,7 +1,6 @@
 #include "core/cost.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace stordep {
 
@@ -14,16 +13,6 @@ const TechniqueOutlay* CostResult::find(const std::string& name) const {
 
 std::vector<TechniqueOutlay> computeOutlays(
     const std::vector<PlacedDemand>& all) {
-  // Group demands per device, preserving first-seen order.
-  std::vector<DevicePtr> order;
-  std::map<const DeviceModel*, std::vector<DeviceDemand>> byDevice;
-  for (const auto& pd : all) {
-    if (byDevice.find(pd.device.get()) == byDevice.end()) {
-      order.push_back(pd.device);
-    }
-    byDevice[pd.device.get()].push_back(pd.demand);
-  }
-
   // Accumulate attributed outlays per technique (insertion order).
   std::vector<TechniqueOutlay> outlays;
   auto techniqueEntry = [&](const std::string& name) -> TechniqueOutlay& {
@@ -35,15 +24,27 @@ std::vector<TechniqueOutlay> computeOutlays(
     return outlays.back();
   };
 
-  for (const auto& device : order) {
-    const auto& demands = byDevice[device.get()];
+  // Devices in first-seen order, each with its demands in `all` order: for
+  // each new device, re-scan `all` for its demands (the same grouping as
+  // computeUtilizationFeasibility, without a per-device map of copies).
+  std::vector<const DeviceModel*> seen;
+  std::vector<const DeviceDemand*> demands;
+  std::vector<Money> attributed;
+  for (std::size_t first = 0; first < all.size(); ++first) {
+    const DeviceModel* device = all[first].device.get();
+    if (std::find(seen.begin(), seen.end(), device) != seen.end()) continue;
+    seen.push_back(device);
+    demands.clear();
+    for (std::size_t i = first; i < all.size(); ++i) {
+      if (all[i].device.get() == device) demands.push_back(&all[i].demand);
+    }
     const Money fixed = device->spec().cost.fixedCost;
 
     // Which demand is charged the fixed costs: the flagged primary
     // technique, defaulting to the first user of the device.
     size_t primaryIdx = 0;
     for (size_t i = 0; i < demands.size(); ++i) {
-      if (demands[i].isPrimaryTechnique) {
+      if (demands[i]->isPrimaryTechnique) {
         primaryIdx = i;
         break;
       }
@@ -51,15 +52,16 @@ std::vector<TechniqueOutlay> computeOutlays(
 
     Bytes totalCap{0};
     Bandwidth totalBW = Bandwidth::zero();
-    std::vector<Money> attributed(demands.size());
+    attributed.clear();
     for (size_t i = 0; i < demands.size(); ++i) {
-      const auto& d = demands[i];
+      const DeviceDemand& d = *demands[i];
       totalCap += d.capacity;
       totalBW += d.bandwidth;
       const Money marginal =
           device->annualOutlay(d.capacity, d.bandwidth, d.shipmentsPerYear) -
           fixed;
-      attributed[i] = marginal + (i == primaryIdx ? fixed : Money::zero());
+      attributed.push_back(marginal +
+                           (i == primaryIdx ? fixed : Money::zero()));
     }
 
     // Spare costs follow each technique's share of the device outlay.
@@ -68,7 +70,7 @@ std::vector<TechniqueOutlay> computeOutlays(
     for (const auto& m : attributed) deviceTotal += m;
 
     for (size_t i = 0; i < demands.size(); ++i) {
-      auto& entry = techniqueEntry(demands[i].techniqueName);
+      auto& entry = techniqueEntry(demands[i]->techniqueName);
       entry.deviceOutlay += attributed[i];
       const double share =
           deviceTotal.usd() > 0

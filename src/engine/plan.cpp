@@ -1,7 +1,6 @@
 #include "engine/plan.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/propagation.hpp"
 
@@ -10,39 +9,6 @@ namespace stordep::engine {
 namespace {
 
 const std::string kNoDeviceName;
-
-/// Byte-stream accumulator for the plan fingerprint. Doubles go in by bit
-/// pattern (the tables are produced deterministically, so -0.0/NaN patterns
-/// are stable), strings length-prefixed.
-struct FpStream {
-  std::string buf;
-
-  void u64(std::uint64_t v) {
-    char b[sizeof v];
-    std::memcpy(b, &v, sizeof v);
-    buf.append(b, sizeof v);
-  }
-  void d(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void i(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) { buf.push_back(v ? '\1' : '\0'); }
-  void s(const std::string& v) {
-    u64(v.size());
-    buf.append(v);
-  }
-  void loc(const Location& l) {
-    s(l.site);
-    s(l.building);
-    s(l.region);
-  }
-  void fp(const Fingerprint& f) {
-    u64(f.hi);
-    u64(f.lo);
-  }
-};
 
 }  // namespace
 
@@ -71,8 +37,6 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     }
     DeviceRow row;
     row.device = d;
-    row.name = d->name();
-    row.location = d->location();
     row.hasSpare = d->spec().spare.type != SpareType::kNone;
     row.spareProvisioningTime = d->spareProvisioningTime();
     plan->devices_.push_back(std::move(row));
@@ -80,8 +44,13 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   };
 
   const int levelCount = design.levelCount();
+  plan->levels_.reserve(static_cast<std::size_t>(levelCount));
+  // A level typically adds one or two distinct devices (its storage, a leg
+  // transport); the reserve only saves regrowth, it bounds nothing.
+  plan->devices_.reserve(2 * static_cast<std::size_t>(levelCount));
   std::vector<std::vector<PlacedDemand>> perLevelDemands;
   perLevelDemands.reserve(static_cast<std::size_t>(levelCount));
+  std::size_t demandCount = 0;
 
   for (int i = 0; i < levelCount; ++i) {
     const Technique& tech = design.level(i);
@@ -126,6 +95,7 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
 
     plan->levels_.push_back(std::move(row));
     perLevelDemands.push_back(tech.normalModeDemands(workload));
+    demandCount += perLevelDemands.back().size();
   }
 
   // Flat per-device bandwidth-contribution table for the availableBw fold,
@@ -147,6 +117,7 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   // vector is assembled exactly like StorageDesign::allDemands() (level
   // order), so both folds see the legacy operand order.
   std::vector<PlacedDemand> all;
+  all.reserve(demandCount);
   for (auto& demands : perLevelDemands) {
     all.insert(all.end(), std::make_move_iterator(demands.begin()),
                std::make_move_iterator(demands.end()));
@@ -157,74 +128,6 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   for (const TechniqueOutlay& o : computeOutlays(all)) {
     plan->totalOutlays_ += o.total();
   }
-
-  // ---- Plan fingerprint ----------------------------------------------
-  // Everything evaluate() reads must be covered: the flattened tables, the
-  // workload/business inputs, and behavioural probes of the virtuals the
-  // tables defer to per eval (restorePayload, transferBandwidth), so two
-  // plans with equal fingerprints evaluate identically under any scenario.
-  FpStream fs;
-  fs.buf.reserve(1024);
-  fs.s("stordep-evalplan-v1");
-  fs.fp(fingerprintWorkload(workload));
-  fs.b(plan->hasFacility_);
-  if (plan->hasFacility_) {
-    fs.loc(plan->facilityLocation_);
-    fs.d(plan->facilityProvisioningTime_.raw());
-  }
-  fs.d(plan->business_.unavailabilityPenaltyRate.raw());
-  fs.d(plan->business_.lossPenaltyRate.raw());
-  fs.b(plan->business_.rto.has_value());
-  if (plan->business_.rto) fs.d(plan->business_.rto->raw());
-  fs.b(plan->business_.rpo.has_value());
-  if (plan->business_.rpo) fs.d(plan->business_.rpo->raw());
-  fs.b(plan->utilFeasible_);
-  fs.s(plan->utilError_);
-  fs.d(plan->totalOutlays_.raw());
-
-  const Bytes probePayload = megabytes(1);
-  fs.u64(plan->devices_.size());
-  for (const DeviceRow& row : plan->devices_) {
-    fs.s(row.name);
-    fs.loc(row.location);
-    fs.b(row.hasSpare);
-    fs.d(row.spareProvisioningTime.raw());
-    fs.u64(row.contribBegin);
-    fs.u64(row.contribEnd);
-    fs.d(row.device->transferBandwidth(probePayload).raw());
-    fs.d(row.device->transferBandwidth(workload.dataCap()).raw());
-  }
-  fs.u64(plan->levels_.size());
-  for (const LevelRow& row : plan->levels_) {
-    fs.i(static_cast<std::int64_t>(row.technique->kind()));
-    fs.d(row.lag.raw());
-    fs.d(row.oldestAge.raw());
-    fs.d(row.withinLoss.raw());
-    fs.d(row.defaultPayload.raw());
-    fs.d(row.technique->restorePayload(workload, probePayload).raw());
-    fs.u64(row.storageBegin);
-    fs.u64(row.storageEnd);
-    fs.u64(row.legBegin);
-    fs.u64(row.legEnd);
-  }
-  fs.u64(plan->legs_.size());
-  for (const LegRow& leg : plan->legs_) {
-    fs.i(leg.from);
-    fs.i(leg.to);
-    fs.i(leg.via);
-    fs.b(leg.originallyCrossSite);
-    fs.b(leg.viaPhysical);
-    fs.d(leg.viaTransit.raw());
-    fs.d(leg.serializedFix.raw());
-  }
-  fs.u64(plan->storageIdx_.size());
-  for (std::uint32_t idx : plan->storageIdx_) fs.u64(idx);
-  fs.u64(plan->contribLevel_.size());
-  for (std::size_t c = 0; c < plan->contribLevel_.size(); ++c) {
-    fs.i(plan->contribLevel_[c]);
-    fs.d(plan->contribBandwidth_[c].raw());
-  }
-  plan->fingerprint_ = fingerprintBytes(fs.buf);
 
   return plan;
 }
@@ -252,8 +155,8 @@ std::vector<char> EvalPlan::destroyedLevels(
     bool all = true;
     for (std::uint32_t s = levels_[i].storageBegin; s < levels_[i].storageEnd;
          ++s) {
-      const DeviceRow& row = devices_[storageIdx_[s]];
-      if (!scenario.destroys(row.name, row.location)) {
+      const DeviceModel& device = *devices_[storageIdx_[s]].device;
+      if (!scenario.destroys(device.name(), device.location())) {
         all = false;
         break;
       }
@@ -274,8 +177,9 @@ EvalPlan::ResolvedRecovery EvalPlan::resolveRecovery(
   const std::size_t nDev = devices_.size();
   std::vector<char> devDestroyed(nDev, 0);
   for (std::size_t i = 0; i < nDev; ++i) {
+    const DeviceModel& device = *devices_[i].device;
     devDestroyed[i] =
-        scenario.destroys(devices_[i].name, devices_[i].location) ? 1 : 0;
+        scenario.destroys(device.name(), device.location()) ? 1 : 0;
   }
   const std::vector<char> lvlDestroyed = destroyedLevels(scenario);
 
@@ -301,16 +205,17 @@ EvalPlan::ResolvedRecovery EvalPlan::resolveRecovery(
   };
   const auto resolve = [&](std::int32_t idx) -> Resolved {
     const DeviceRow& row = devices_[static_cast<std::size_t>(idx)];
+    const Location* loc = &row.device->location();
     if (!devDestroyed[static_cast<std::size_t>(idx)]) {
-      return {&row.location, Duration::zero(), false, true};
+      return {loc, Duration::zero(), false, true};
     }
     if (scenario.scope == FailureScope::kArray && row.hasSpare) {
-      return {&row.location, row.spareProvisioningTime, true, true};
+      return {loc, row.spareProvisioningTime, true, true};
     }
     if (hasFacility_ && !scenario.destroys(kNoDeviceName, facilityLocation_)) {
       return {&facilityLocation_, facilityProvisioningTime_, true, true};
     }
-    return {&row.location, Duration::zero(), false, false};
+    return {loc, Duration::zero(), false, false};
   };
 
   out.legs.reserve(src.legEnd - src.legBegin);
@@ -399,7 +304,8 @@ EvaluationMetrics EvalPlan::evaluate(const FailureScenario& scenario,
   const std::size_t nDev = devices_.size();
   bool* devDestroyed = arena.array<bool>(nDev);
   for (std::size_t i = 0; i < nDev; ++i) {
-    devDestroyed[i] = scenario.destroys(devices_[i].name, devices_[i].location);
+    const DeviceModel& device = *devices_[i].device;
+    devDestroyed[i] = scenario.destroys(device.name(), device.location());
   }
 
   const std::size_t nLvl = levels_.size();
@@ -471,17 +377,18 @@ EvaluationMetrics EvalPlan::evaluate(const FailureScenario& scenario,
         };
         auto resolve = [&](std::int32_t idx) -> Resolved {
           const DeviceRow& row = devices_[static_cast<std::size_t>(idx)];
+          const Location* loc = &row.device->location();
           if (!devDestroyed[idx]) {
-            return {&row.location, Duration::zero(), false, true};
+            return {loc, Duration::zero(), false, true};
           }
           if (scenario.scope == FailureScope::kArray && row.hasSpare) {
-            return {&row.location, row.spareProvisioningTime, true, true};
+            return {loc, row.spareProvisioningTime, true, true};
           }
           if (hasFacility_ &&
               !scenario.destroys(kNoDeviceName, facilityLocation_)) {
             return {&facilityLocation_, facilityProvisioningTime_, true, true};
           }
-          return {&row.location, Duration::zero(), false, false};
+          return {loc, Duration::zero(), false, false};
         };
 
         Duration clock = Duration::zero();

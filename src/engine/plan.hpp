@@ -10,7 +10,8 @@
 // into one compile step per design:
 //
 //   compile    flattens the design into contiguous structure-of-arrays
-//              tables — device rows (name, location, spare), per-level
+//              tables — device rows (the shared device, whose name and
+//              location the scenario tests read, plus spare), per-level
 //              recovery-window scalars (lag, oldest retained age, in-range
 //              loss), restore-leg rows with device indices, and a flat
 //              (level, bandwidth) contribution table per device for the
@@ -45,7 +46,6 @@
 
 #include "core/evaluator.hpp"
 #include "engine/arena.hpp"
-#include "engine/fingerprint.hpp"
 
 namespace stordep::engine {
 
@@ -64,14 +64,6 @@ class EvalPlan {
   /// (one eval), this performs no heap allocation.
   [[nodiscard]] EvaluationMetrics evaluate(const FailureScenario& scenario,
                                            BumpArena& arena) const;
-
-  /// Content fingerprint of the compiled tables (plus behavioural probes of
-  /// the technique/device virtuals the tables defer to). Two designs with
-  /// equal plan fingerprints evaluate identically under every scenario;
-  /// compiling the same design twice yields the same fingerprint.
-  [[nodiscard]] const Fingerprint& fingerprint() const noexcept {
-    return fingerprint_;
-  }
 
   /// Scenario-independent results, hoisted out of the per-eval path.
   [[nodiscard]] bool utilizationFeasible() const noexcept {
@@ -149,9 +141,9 @@ class EvalPlan {
   /// One distinct device the per-eval loops query (storage devices and leg
   /// endpoints/transports).
   struct DeviceRow {
-    DevicePtr device;  ///< kept for transferBandwidth() (payload-dependent)
-    std::string name;
-    Location location;
+    /// Name and location are read through it; also kept for
+    /// transferBandwidth() (payload-dependent).
+    DevicePtr device;
     /// device->spec().spare.type != kNone (spares rescue kArray failures)
     bool hasSpare = false;
     Duration spareProvisioningTime = Duration::zero();
@@ -213,7 +205,6 @@ class EvalPlan {
   bool utilFeasible_ = true;
   std::string utilError_;
   Money totalOutlays_ = Money::zero();
-  Fingerprint fingerprint_;
 };
 
 }  // namespace stordep::engine

@@ -1,7 +1,7 @@
 #include "optimizer/design_space.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "casestudy/casestudy.hpp"
 #include "core/techniques/backup.hpp"
@@ -52,29 +52,40 @@ std::string toString(MirrorChoice choice) {
 }
 
 std::string CandidateSpec::label() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   auto sep = [&] {
-    if (!first) os << " + ";
-    first = false;
+    if (!out.empty()) out += " + ";
   };
   if (pit != PitChoice::kNone) {
     sep();
-    os << toString(pit) << "(" << toString(pitAccW) << " x"
-       << pitRetentionCount << ")";
+    out += toString(pit);
+    out += '(';
+    out += toString(pitAccW);
+    out += " x";
+    out += std::to_string(pitRetentionCount);
+    out += ')';
   }
   if (backup != BackupChoice::kNone) {
     sep();
-    os << toString(backup) << "(" << toString(backupAccW) << ")";
-    if (vault) os << " + vault(" << toString(vaultAccW) << ")";
+    out += toString(backup);
+    out += '(';
+    out += toString(backupAccW);
+    out += ')';
+    if (vault) {
+      out += " + vault(";
+      out += toString(vaultAccW);
+      out += ')';
+    }
   }
   if (mirror != MirrorChoice::kNone) {
     sep();
-    os << toString(mirror) << "(" << mirrorLinkCount
-       << (mirrorLinkCount == 1 ? " link)" : " links)");
+    out += toString(mirror);
+    out += '(';
+    out += std::to_string(mirrorLinkCount);
+    out += mirrorLinkCount == 1 ? " link)" : " links)";
   }
-  if (first) os << "primary-only";
-  return os.str();
+  if (out.empty()) out = "primary-only";
+  return out;
 }
 
 bool CandidateSpec::valid() const {

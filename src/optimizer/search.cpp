@@ -78,12 +78,12 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
     const std::vector<ScenarioCase>& scenarios) {
   EvaluatedCandidate out;
   out.spec = spec;
-  out.label = spec.label();
   out.feasible = true;
   out.meetsObjectives = true;
 
   try {
     const StorageDesign design = spec.build(workload, business);
+    out.label = design.name();  // build() names the design spec.label()
     const std::shared_ptr<const engine::EvalPlan> plan =
         engine::EvalPlan::compile(design);
     if (plan == nullptr) return std::nullopt;  // legacy fallback
@@ -118,6 +118,7 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
     }
   } catch (...) {
     // build() rejected the candidate (same isolation as the legacy path).
+    out.label = spec.label();
     out.error = engine::errorFromCurrentException();
   }
 
@@ -142,12 +143,12 @@ EvaluatedCandidate evaluateCandidateImpl(
     const StochasticObjectiveSpec* stochastic = nullptr) {
   EvaluatedCandidate out;
   out.spec = spec;
-  out.label = spec.label();
   out.feasible = true;
   out.meetsObjectives = true;
 
   try {
     const StorageDesign design = spec.build(workload, business);
+    out.label = design.name();  // build() names the design spec.label()
     const engine::Fingerprint designFp = engine::fingerprintDesign(design);
     // Scenario-independent sub-models (utilization, outlays, warnings) are
     // computed at most once per candidate, and only if some scenario misses
@@ -208,6 +209,7 @@ EvaluatedCandidate evaluateCandidateImpl(
     }
   } catch (...) {
     // build() or fingerprinting rejected the candidate.
+    out.label = spec.label();
     out.error = engine::errorFromCurrentException();
   }
 

@@ -34,10 +34,11 @@ const SimRp* RecoverySimulator::visibleBaseFull(int level, const SimRp& rp,
 std::optional<SimRp> RecoverySimulator::bestUsableRp(
     int level, SimTime failTime, SimTime targetTime) const {
   const StorageDesign& design = sim_.design();
-  const Technique& tech = design.level(level);
+  // Only a Backup has an incremental chain; kind() alone does not make a
+  // technique one (a custom technique may report kBackup).
+  const auto* backup = dynamic_cast<const Backup*>(&design.level(level));
   const bool chained =
-      tech.kind() == TechniqueKind::kBackup &&
-      static_cast<const Backup&>(tech).style() != BackupStyle::kFullOnly;
+      backup != nullptr && backup->style() != BackupStyle::kFullOnly;
   if (!chained) return sim_.bestVisibleRp(level, failTime, targetTime);
 
   const auto& timeline = sim_.timeline(level);
@@ -61,10 +62,11 @@ Bytes RecoverySimulator::restorePayloadFor(
   const StorageDesign& design = sim_.design();
   const WorkloadSpec& workload = design.workload();
   const Bytes baseSize = scenario.recoverySize.value_or(workload.dataCap());
-  const Technique& tech = design.level(level);
-  if (tech.kind() != TechniqueKind::kBackup) return baseSize;
-  const auto& backup = static_cast<const Backup&>(tech);
-  if (backup.style() == BackupStyle::kFullOnly || rp.isFull) return baseSize;
+  const auto* backup = dynamic_cast<const Backup*>(&design.level(level));
+  if (backup == nullptr || backup->style() == BackupStyle::kFullOnly ||
+      rp.isFull) {
+    return baseSize;
+  }
 
   const SimRp* full = visibleBaseFull(level, rp, failTime);
   if (full == nullptr) return baseSize;  // degenerate: treat as a full
@@ -72,12 +74,12 @@ Bytes RecoverySimulator::restorePayloadFor(
   const Duration span{rp.dataTime - full->dataTime};
   const double scale = std::min(1.0, baseSize / workload.dataCap());
   Bytes incrBytes{0};
-  if (backup.style() == BackupStyle::kCumulativeIncremental) {
+  if (backup->style() == BackupStyle::kCumulativeIncremental) {
     // Only the chosen cumulative incremental replays on top of the full.
     incrBytes = workload.uniqueBytes(span);
   } else {
     // Differentials: every one between the full and the chosen RP replays.
-    const Duration step = backup.policy()->secondaryWindows()->accW;
+    const Duration step = backup->policy()->secondaryWindows()->accW;
     const double count = step.secs() > 0 ? span / step : 0.0;
     incrBytes = workload.uniqueBytes(step) * count;
   }

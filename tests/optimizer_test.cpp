@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "casestudy/casestudy.hpp"
 #include "optimizer/refine.hpp"
@@ -60,6 +63,81 @@ TEST(DesignSpace, LabelsAreDescriptive) {
   EXPECT_NE(label.find("split-mirror"), std::string::npos);
   EXPECT_NE(label.find("full"), std::string::npos);
   EXPECT_NE(label.find("vault"), std::string::npos);
+}
+
+TEST(DesignSpace, LabelsAreByteExact) {
+  // Labels break ranking ties and name every search result, so they are
+  // pinned byte for byte: every branch of label() (both PiT kinds, full and
+  // full+incr, vault, one and several links, primary-only) and every
+  // toString(Duration) unit it prints, fractional values included.
+  const std::vector<std::pair<CandidateSpec, std::string>> table = {
+      {CandidateSpec{}, "primary-only"},
+      {{.pit = PitChoice::kSplitMirror,
+        .backup = BackupChoice::kFullOnly,
+        .vault = true},
+       "split-mirror(12 hr x4) + full(1 wk) + vault(4 wk)"},
+      {{.pit = PitChoice::kSnapshot,
+        .pitAccW = hours(24),
+        .pitRetentionCount = 2,
+        .backup = BackupChoice::kFullPlusIncremental,
+        .mirror = MirrorChoice::kAsync,
+        .mirrorLinkCount = 3},
+       "snapshot(1 days x2) + full+incr(1 wk) + async-mirror(3 links)"},
+      {{.pit = PitChoice::kSnapshot,
+        .pitAccW = minutes(30),
+        .pitRetentionCount = 48,
+        .mirror = MirrorChoice::kAsyncBatch,
+        .mirrorLinkCount = 2},
+       "snapshot(30 min x48) + asyncB-mirror(2 links)"},
+      {{.pit = PitChoice::kSplitMirror,
+        .pitAccW = seconds(45),
+        .pitRetentionCount = 10,
+        .mirror = MirrorChoice::kSync},
+       "split-mirror(45 s x10) + sync-mirror(1 link)"},
+      {{.pit = PitChoice::kSplitMirror,
+        .pitAccW = hours(36),
+        .pitRetentionCount = 3,
+        .backup = BackupChoice::kFullOnly,
+        .backupAccW = weeks(4),
+        .vault = true,
+        .vaultAccW = years(1)},
+       "split-mirror(1.5 days x3) + full(4 wk) + vault(1 yr)"},
+      {{.pit = PitChoice::kSnapshot,
+        .pitAccW = minutes(90),
+        .pitRetentionCount = 16,
+        .backup = BackupChoice::kFullPlusIncremental,
+        .backupAccW = days(10),
+        .vault = true,
+        .vaultAccW = weeks(6.5),
+        .mirror = MirrorChoice::kSync,
+        .mirrorLinkCount = 8},
+       "snapshot(1.5 hr x16) + full+incr(1.43 wk) + vault(6.5 wk) + "
+       "sync-mirror(8 links)"},
+      {{.mirror = MirrorChoice::kAsync}, "async-mirror(1 link)"},
+      {{.pit = PitChoice::kSplitMirror,
+        .pitAccW = seconds(7.25),
+        .pitRetentionCount = 1,
+        .backup = BackupChoice::kFullOnly,
+        .backupAccW = days(2),
+        .vault = true,
+        .vaultAccW = years(1.5),
+        .mirror = MirrorChoice::kAsyncBatch,
+        .mirrorLinkCount = 12},
+       "split-mirror(7.25 s x1) + full(2 days) + vault(1.5 yr) + "
+       "asyncB-mirror(12 links)"},
+  };
+  for (const auto& [spec, expected] : table) {
+    EXPECT_EQ(spec.label(), expected);
+    if (expected == "primary-only") {
+      EXPECT_FALSE(spec.valid());  // nothing to build
+      continue;
+    }
+    // The sweep names each result after its built design, so build() must
+    // name the design exactly label().
+    ASSERT_TRUE(spec.valid()) << expected;
+    EXPECT_EQ(spec.build(cs::celloWorkload(), cs::requirements()).name(),
+              spec.label());
+  }
 }
 
 TEST(DesignSpace, BuildsEvaluableDesigns) {

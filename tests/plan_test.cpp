@@ -1,17 +1,19 @@
 // plan_test.cpp — the compile-once evaluation-plan fast path.
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
-// reuse/rewind protocol, plan-compilation idempotence (fingerprints), the
-// fallback to the legacy evaluator for un-plannable designs, and — the
-// thread-determinism satellite — that a cold plan-routed search returns
-// bit-identical rankings at 1/2/4/8 threads (this binary also runs under
-// TSan in CI).
+// reuse/rewind protocol, plan-compilation determinism (recompiled designs
+// evaluate to the same bits), the fallback to the legacy evaluator for
+// un-plannable designs, and — the thread-determinism satellite — that a cold
+// plan-routed search returns bit-identical rankings at 1/2/4/8 threads (this
+// binary also runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -99,35 +101,70 @@ TEST(Arena, OversizedAllocationGetsItsOwnBlock) {
 
 // ---- Plan compilation ------------------------------------------------------
 
-TEST(PlanCompile, SameDesignSameFingerprintTwice) {
-  const stordep::StorageDesign design = cs::baseline();
-  const auto a = EvalPlan::compile(design);
-  const auto b = EvalPlan::compile(design);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->fingerprint().hi, b->fingerprint().hi);
-  EXPECT_EQ(a->fingerprint().lo, b->fingerprint().lo);
-  // Re-materializing the design from scratch must also agree: compilation
-  // is a pure function of the design's content, not its object identity.
-  const auto c = EvalPlan::compile(cs::baseline());
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(a->fingerprint().hi, c->fingerprint().hi);
-  EXPECT_EQ(a->fingerprint().lo, c->fingerprint().lo);
+/// Compares every EvaluationMetrics field, doubles by bit pattern.
+void expectMetricsBitIdentical(const stordep::EvaluationMetrics& got,
+                               const stordep::EvaluationMetrics& want,
+                               const std::string& context) {
+  EXPECT_EQ(got.utilizationFeasible, want.utilizationFeasible) << context;
+  EXPECT_EQ(got.recoverable, want.recoverable) << context;
+  EXPECT_EQ(got.meetsObjectives, want.meetsObjectives) << context;
+  EXPECT_EQ(got.sourceLevel, want.sourceLevel) << context;
+  const auto same = [&](double g, double w, const char* field) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g), std::bit_cast<std::uint64_t>(w))
+        << context << ": " << field << " " << g << " vs " << w;
+  };
+  same(got.recoveryTime.raw(), want.recoveryTime.raw(), "recoveryTime");
+  same(got.dataLoss.raw(), want.dataLoss.raw(), "dataLoss");
+  same(got.payload.raw(), want.payload.raw(), "payload");
+  same(got.totalOutlays.raw(), want.totalOutlays.raw(), "totalOutlays");
+  same(got.outagePenalty.raw(), want.outagePenalty.raw(), "outagePenalty");
+  same(got.lossPenalty.raw(), want.lossPenalty.raw(), "lossPenalty");
+  same(got.totalPenalties.raw(), want.totalPenalties.raw(), "totalPenalties");
+  same(got.totalCost.raw(), want.totalCost.raw(), "totalCost");
 }
 
-TEST(PlanCompile, DifferentDesignsDifferentFingerprints) {
-  const auto a = EvalPlan::compile(cs::baseline());
-  const auto b = EvalPlan::compile(cs::weeklyVault());
-  const auto c = EvalPlan::compile(cs::asyncBatchMirror(2));
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_NE(c, nullptr);
-  EXPECT_FALSE(a->fingerprint().hi == b->fingerprint().hi &&
-               a->fingerprint().lo == b->fingerprint().lo);
-  EXPECT_FALSE(a->fingerprint().hi == c->fingerprint().hi &&
-               a->fingerprint().lo == c->fingerprint().lo);
-  EXPECT_FALSE(b->fingerprint().hi == c->fingerprint().hi &&
-               b->fingerprint().lo == c->fingerprint().lo);
+/// The three case-study scenarios, named.
+std::vector<std::pair<std::string, stordep::FailureScenario>> namedScenarios() {
+  return {{"object", cs::objectFailure()},
+          {"array", cs::arrayFailure()},
+          {"site", cs::siteDisaster()}};
+}
+
+TEST(PlanCompile, RecompiledDesignsEvaluateIdentically) {
+  // Compilation is a pure function of the design's content, not its object
+  // identity: compiling a design twice, or compiling the same design
+  // re-materialized from scratch, gives plans that evaluate to the same bits
+  // under every scenario and recovery-target age.
+  const auto designs = cs::allWhatIfDesigns();
+  const auto rematerialized = cs::allWhatIfDesigns();
+  ASSERT_EQ(designs.size(), rematerialized.size());
+  const stordep::Duration ages[] = {
+      stordep::Duration::zero(), stordep::minutes(30), stordep::hours(24),
+      stordep::weeks(1),         stordep::weeks(6),    stordep::years(4)};
+  BumpArena arena;
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const auto& [label, design] = designs[d];
+    ASSERT_EQ(rematerialized[d].first, label);
+    const auto first = EvalPlan::compile(design);
+    const auto second = EvalPlan::compile(design);
+    const auto fresh = EvalPlan::compile(rematerialized[d].second);
+    ASSERT_NE(first, nullptr) << label;
+    ASSERT_NE(second, nullptr) << label;
+    ASSERT_NE(fresh, nullptr) << label;
+    for (const auto& [scenarioName, base] : namedScenarios()) {
+      for (const stordep::Duration age : ages) {
+        stordep::FailureScenario scenario = base;
+        scenario.recoveryTargetAge = age;
+        const std::string context =
+            label + " / " + scenarioName + " @ " + stordep::toString(age);
+        const stordep::EvaluationMetrics m = first->evaluate(scenario, arena);
+        expectMetricsBitIdentical(second->evaluate(scenario, arena), m,
+                                  context + " (compiled twice)");
+        expectMetricsBitIdentical(fresh->evaluate(scenario, arena), m,
+                                  context + " (re-materialized)");
+      }
+    }
+  }
 }
 
 TEST(PlanCompile, EveryCaseStudyDesignIsPlannable) {
@@ -138,33 +175,12 @@ TEST(PlanCompile, EveryCaseStudyDesignIsPlannable) {
 
 // ---- Plan vs legacy on the case-study designs ------------------------------
 
-void expectMetricsBitIdentical(const stordep::EvaluationMetrics& plan,
-                               const stordep::EvaluationMetrics& legacy,
-                               const std::string& context) {
-  EXPECT_EQ(plan.utilizationFeasible, legacy.utilizationFeasible) << context;
-  EXPECT_EQ(plan.recoverable, legacy.recoverable) << context;
-  EXPECT_EQ(plan.meetsObjectives, legacy.meetsObjectives) << context;
-  EXPECT_EQ(plan.sourceLevel, legacy.sourceLevel) << context;
-  EXPECT_EQ(plan.recoveryTime.raw(), legacy.recoveryTime.raw()) << context;
-  EXPECT_EQ(plan.dataLoss.raw(), legacy.dataLoss.raw()) << context;
-  EXPECT_EQ(plan.payload.raw(), legacy.payload.raw()) << context;
-  EXPECT_EQ(plan.totalOutlays.raw(), legacy.totalOutlays.raw()) << context;
-  EXPECT_EQ(plan.outagePenalty.raw(), legacy.outagePenalty.raw()) << context;
-  EXPECT_EQ(plan.lossPenalty.raw(), legacy.lossPenalty.raw()) << context;
-  EXPECT_EQ(plan.totalPenalties.raw(), legacy.totalPenalties.raw()) << context;
-  EXPECT_EQ(plan.totalCost.raw(), legacy.totalCost.raw()) << context;
-}
-
 TEST(PlanEvaluate, BitIdenticalToLegacyOnCaseStudyMatrix) {
-  const std::vector<std::pair<std::string, stordep::FailureScenario>>
-      scenarios = {{"object", cs::objectFailure()},
-                   {"array", cs::arrayFailure()},
-                   {"site", cs::siteDisaster()}};
   BumpArena arena;
   for (const auto& [label, design] : cs::allWhatIfDesigns()) {
     const auto plan = EvalPlan::compile(design);
     ASSERT_NE(plan, nullptr) << label;
-    for (const auto& [scenarioName, scenario] : scenarios) {
+    for (const auto& [scenarioName, scenario] : namedScenarios()) {
       const stordep::EvaluationMetrics viaPlan =
           plan->evaluate(scenario, arena);
       const stordep::EvaluationMetrics legacy =

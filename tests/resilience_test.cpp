@@ -675,7 +675,11 @@ TEST(ServerSearch, PeerDisconnectCancelsWorkerAndFreesSlot) {
     addr.sin_port = htons(server.port());
     ASSERT_EQ(
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    const std::string body = "{\"streamChunk\": 1}";
+    // One candidate per wave and a 10 ms pause after each: the sweep must
+    // still be streaming when the peer vanishes. Without the pause the
+    // default grid can finish in about a millisecond, before the RST
+    // lands, and then there is no broken pipe to notice.
+    const std::string body = "{\"streamChunk\": 1, \"waveDelayMs\": 10}";
     const std::string request =
         "POST /v1/search HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
         std::to_string(body.size()) + "\r\n\r\n" + body;
