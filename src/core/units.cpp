@@ -1,8 +1,10 @@
 #include "core/units.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 #include <ostream>
 #include <string_view>
 #include <vector>
@@ -11,17 +13,28 @@ namespace stordep {
 
 namespace {
 
-/// Formats a double with up to `prec` significant-looking decimals, trimming
-/// trailing zeros ("2.40" -> "2.4", "12.00" -> "12").
+/// Largest `prec` trimmedFixed is called with.
+constexpr int kMaxFixedPrec = 3;
+
+/// Formats a double with up to `prec` (at most kMaxFixedPrec) decimals,
+/// trimming trailing zeros ("2.40" -> "2.4", "12.00" -> "12"). The digits
+/// are printf's "%.*f": std::to_chars' fixed form with a precision is
+/// specified to print exactly those, without parsing a format string.
 std::string trimmedFixed(double value, int prec) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.*f", prec, value);
-  std::string s = buf.data();
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
+  // Sign, the 309 integral digits of DBL_MAX, the point and the decimals.
+  std::array<char, 1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 +
+                       kMaxFixedPrec>
+      buf;
+  const std::to_chars_result printed =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                    std::chars_format::fixed, prec);
+  const char* const begin = buf.data();
+  const char* end = printed.ptr;
+  if (std::find(begin, end, '.') != end) {
+    while (end[-1] == '0') --end;
+    if (end[-1] == '.') --end;
   }
-  return s;
+  return std::string(begin, end);
 }
 
 struct UnitDef {

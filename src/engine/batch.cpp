@@ -68,24 +68,31 @@ EvalOutcome Engine::tryEvaluate(const StorageDesign& design,
 EvaluationResult Engine::evaluateKeyed(
     const StorageDesign& design, const FailureScenario& scenario,
     const Fingerprint& pairKey,
-    std::optional<DesignPrecomputation>& precomputed) {
-  if (options_.useCache) {
-    // May throw an injected kCacheLookup fault; a lookup that cannot be
-    // trusted must not silently serve a result.
-    if (std::optional<EvaluationResult> hit = cache_.lookup(pairKey)) {
-      return std::move(*hit);
-    }
+    std::optional<DesignPrecomputation>& precomputed,
+    const CancellationToken& token, bool* hitOut) {
+  if (hitOut != nullptr) *hitOut = false;
+  const auto compute = [&] {
+    if (injector_) injector_->maybeInject(FaultSite::kEvaluate, pairKey);
+    if (!precomputed) precomputed = precomputeDesign(design);
+    return stordep::evaluate(design, scenario, *precomputed);
+  };
+  if (!options_.useCache) return compute();
+
+  // May throw an injected kCacheLookup fault (a lookup that cannot be
+  // trusted must not silently serve a result), or the token's error while
+  // another thread computes this pair.
+  EvalCache::Probe probe = cache_.probe(pairKey, token);
+  if (probe.hit) {
+    if (hitOut != nullptr) *hitOut = true;
+    return std::move(*probe.hit);
   }
-  if (injector_) injector_->maybeInject(FaultSite::kEvaluate, pairKey);
-  if (!precomputed) precomputed = precomputeDesign(design);
-  EvaluationResult result = stordep::evaluate(design, scenario, *precomputed);
-  if (options_.useCache) {
-    try {
-      cache_.insert(pairKey, result);
-    } catch (...) {
-      // Losing a cache write (injected kCacheInsert fault, allocation
-      // failure) never fails a request that already has its result.
-    }
+  // A throw from here on drops the claim, so a waiter computes instead.
+  EvaluationResult result = compute();
+  try {
+    probe.claim.fulfil(result);
+  } catch (...) {
+    // Losing a cache write (injected kCacheInsert fault, allocation
+    // failure) never fails a request that already has its result.
   }
   return result;
 }
@@ -94,12 +101,12 @@ EvalOutcome Engine::tryEvaluateKeyed(
     const StorageDesign& design, const FailureScenario& scenario,
     const Fingerprint& pairKey,
     std::optional<DesignPrecomputation>& precomputed,
-    const BatchOptions& options, std::uint64_t* retriesOut) {
+    const BatchOptions& options, std::uint64_t* retriesOut, bool* hitOut) {
   const int maxRetries = std::max(0, options.maxRetries);
   for (int attempt = 0;; ++attempt) {
     try {
-      return EvalOutcome(
-          evaluateKeyed(design, scenario, pairKey, precomputed));
+      return EvalOutcome(evaluateKeyed(design, scenario, pairKey, precomputed,
+                                       options.token, hitOut));
     } catch (...) {
       EvalError error = errorFromCurrentException();
       error.attempts = attempt + 1;
@@ -122,10 +129,13 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   out.stats.threadsUsed = threads_;
   out.stats.requests = requests.size();
 
-  CancellationToken token = options.token;
+  // Every slot polls the caller's token tightened by the batch deadline,
+  // also while it waits for another thread computing the same pair.
+  BatchOptions slotOptions = options;
   if (options.deadline.count() > 0) {
-    token = token.withDeadline(options.deadline);
+    slotOptions.token = options.token.withDeadline(options.deadline);
   }
+  const CancellationToken& token = slotOptions.token;
   const bool cancellable = token.cancellable();
 
   // Fingerprint each distinct design once (batches typically pair a few
@@ -192,22 +202,15 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
     // The pool site stands in for dispatch-layer faults; it is not retried.
     if (injector_) injector_->maybeInject(FaultSite::kPool, key);
 
-    const std::uint64_t misses0 = cache_.stats().misses;
     std::optional<DesignPrecomputation> precomputed;
     std::uint64_t localRetries = 0;
+    bool hit = false;
     EvalOutcome outcome = tryEvaluateKeyed(*request.design, request.scenario,
-                                           key, precomputed, options,
-                                           &localRetries);
+                                           key, precomputed, slotOptions,
+                                           &localRetries, &hit);
     retries.fetch_add(localRetries, std::memory_order_relaxed);
     if (outcome.ok()) {
-      // Computed iff the retried lookup path missed; hit otherwise. The
-      // per-shard miss counter is exact even under concurrency because the
-      // same key cannot be in flight twice within one batch slot.
-      if (options_.useCache && cache_.stats().misses == misses0) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        computed.fetch_add(1, std::memory_order_relaxed);
-      }
+      (hit ? hits : computed).fetch_add(1, std::memory_order_relaxed);
     }
     return outcome;
   };

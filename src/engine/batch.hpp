@@ -152,19 +152,26 @@ class Engine {
   /// loops) and a lazily-filled precomputation slot: on the first miss for a
   /// design, the scenario-independent sub-models are computed once into
   /// `precomputed` and reused by every later miss for the same design.
+  /// Misses are single-flight (EvalCache::probe): while another thread
+  /// computes the pair this call waits, throwing `token`'s error if it
+  /// fires first. `hitOut`, when non-null, receives whether the result came
+  /// from the cache.
   [[nodiscard]] EvaluationResult evaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
       const Fingerprint& pairKey,
-      std::optional<DesignPrecomputation>& precomputed);
+      std::optional<DesignPrecomputation>& precomputed,
+      const CancellationToken& token = {}, bool* hitOut = nullptr);
 
   /// evaluateKeyed with the structured-error contract and bounded retries
-  /// for transient failures. `retriesOut`, when non-null, accumulates the
-  /// number of re-attempts consumed (for stats).
+  /// for transient failures; a wait polls `options.token`. `retriesOut`,
+  /// when non-null, accumulates the number of re-attempts consumed (for
+  /// stats); `hitOut` is as in evaluateKeyed, for the final attempt.
   [[nodiscard]] EvalOutcome tryEvaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
       const Fingerprint& pairKey,
       std::optional<DesignPrecomputation>& precomputed,
-      const BatchOptions& options, std::uint64_t* retriesOut = nullptr);
+      const BatchOptions& options, std::uint64_t* retriesOut = nullptr,
+      bool* hitOut = nullptr);
 
   /// Evaluates all requests (in request order in the result vector), fanned
   /// out across the pool, with cache-hit accounting and throughput stats.

@@ -1,6 +1,7 @@
 #include "engine/eval_cache.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace stordep::engine {
 
@@ -25,18 +26,54 @@ EvalCache::EvalCache(std::size_t capacity, std::size_t shards) {
   }
 }
 
+const EvaluationResult* EvalCache::findLocked(Shard& shard,
+                                              const Fingerprint& key) {
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return &it->second->result;
+}
+
+EvalCache::Probe EvalCache::probe(const Fingerprint& key,
+                                  const CancellationToken& token) {
+  // Between polls of a cancellable token, a waiter sleeps at most this long.
+  constexpr std::chrono::milliseconds kTokenPoll{1};
+  if (injector_) injector_->maybeInject(FaultSite::kCacheLookup, key);
+  Shard& shard = shardFor(key);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  const auto unclaimed = [&] {
+    return std::find(shard.claimed.begin(), shard.claimed.end(), key) ==
+           shard.claimed.end();
+  };
+  while (true) {
+    if (const EvaluationResult* entry = findLocked(shard, key)) {
+      ++shard.hits;
+      return Probe{*entry, Claim{}};
+    }
+    if (unclaimed()) {
+      ++shard.misses;
+      shard.claimed.push_back(key);
+      return Probe{std::nullopt, Claim{this, key}};
+    }
+    if (!token.cancellable()) {
+      shard.claimEnded.wait(lock, unclaimed);
+    } else if (!shard.claimEnded.wait_for(lock, kTokenPoll, unclaimed) &&
+               token.cancelled()) {
+      throw EvalException(token.toError());
+    }
+  }
+}
+
 std::optional<EvaluationResult> EvalCache::lookup(const Fingerprint& key) {
   if (injector_) injector_->maybeInject(FaultSite::kCacheLookup, key);
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return std::nullopt;
+  if (const EvaluationResult* entry = findLocked(shard, key)) {
+    ++shard.hits;
+    return *entry;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->result;
+  ++shard.misses;
+  return std::nullopt;
 }
 
 void EvalCache::insert(const Fingerprint& key,
@@ -66,6 +103,22 @@ void EvalCache::insert(const Fingerprint& key,
   shard.lru.push_front(Entry{key, result});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.inserts;
+}
+
+void EvalCache::Claim::fulfil(const EvaluationResult& result) {
+  cache_->insert(key_, result);  // a throw leaves the release to ~Claim
+  std::exchange(cache_, nullptr)->release(key_);
+}
+
+void EvalCache::release(const Fingerprint& key) noexcept {
+  Shard& shard = shardFor(key);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it =
+        std::find(shard.claimed.begin(), shard.claimed.end(), key);
+    if (it != shard.claimed.end()) shard.claimed.erase(it);
+  }
+  shard.claimEnded.notify_all();
 }
 
 void EvalCache::clear() {

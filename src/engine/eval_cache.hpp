@@ -13,14 +13,25 @@
 // when they land on the same shard. Statistics (hits/misses/inserts/
 // evictions) are aggregated across shards on demand.
 //
+// Single flight: probe() is the evaluating caller's lookup. It reports
+// whether it hit, and a miss claims its key under the shard lock, so one
+// miss is counted (and one evaluation runs) per key however many threads
+// ask for it at once. A concurrent probe of a claimed key waits on the
+// shard until the claim ends, polling its cancellation token, then reads
+// the claimant's entry as a hit. A claim that ends without an insert (the
+// evaluation failed or was cancelled, or the insert threw) frees the key,
+// and a waiter probes again and may claim it.
+//
 // Fault injection: an installed FaultInjector is consulted at the top of
-// lookup() (site kCacheLookup) and insert() (site kCacheInsert), outside
+// probe() and lookup() (site kCacheLookup) and insert() (site
+// kCacheInsert, also reached through Claim::fulfil()), outside
 // the shard lock, so cache-layer failures are exercised exactly where a
 // real storage-backed cache would fail. A throwing probe leaves the shard
 // untouched.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -28,9 +39,11 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "engine/cancellation.hpp"
 #include "engine/fault_injection.hpp"
 #include "engine/fingerprint.hpp"
 
@@ -92,7 +105,51 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
+  /// A miss's exclusive right to compute its key. fulfil() inserts the
+  /// result and ends the claim; a claim destroyed unfulfilled (the
+  /// computation threw or was cancelled, or fulfil's insert threw) ends
+  /// without an entry, and a waiting probe may then claim the key.
+  class Claim {
+   public:
+    Claim() = default;
+    Claim(Claim&& other) noexcept
+        : cache_(std::exchange(other.cache_, nullptr)), key_(other.key_) {}
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    Claim& operator=(Claim&&) = delete;
+    ~Claim() {
+      if (cache_ != nullptr) cache_->release(key_);
+    }
+
+    /// Inserts `result` under the claimed key, as insert() does, and ends
+    /// the claim. Call at most once.
+    void fulfil(const EvaluationResult& result);
+
+   private:
+    friend class EvalCache;
+    Claim(EvalCache* cache, const Fingerprint& key) : cache_(cache), key_(key) {}
+
+    EvalCache* cache_ = nullptr;  ///< null once fulfilled, or never claimed
+    Fingerprint key_;
+  };
+
+  /// What probe() found: the cached result on a hit, else the claim.
+  struct Probe {
+    std::optional<EvaluationResult> hit;
+    Claim claim;
+  };
+
+  /// The evaluating caller's lookup (see "Single flight" above). A hit
+  /// returns the entry and refreshes its LRU position; a miss counts one
+  /// miss and returns the key's claim. While another thread holds the
+  /// claim, waits for it to end, then probes again; once `token` fires
+  /// during the wait, throws EvalException with the token's error. The
+  /// kCacheLookup fault site is consulted once, before the shard lock.
+  [[nodiscard]] Probe probe(const Fingerprint& key,
+                            const CancellationToken& token = {});
+
   /// Returns the cached result and refreshes its LRU position, or nullopt.
+  /// Never claims and never waits: a claimed key without an entry misses.
   [[nodiscard]] std::optional<EvaluationResult> lookup(const Fingerprint& key);
 
   /// Inserts (or refreshes) `result` under `key`, evicting the shard's
@@ -135,6 +192,10 @@ class EvalCache {
     std::unordered_map<Fingerprint, std::list<Entry>::iterator,
                        FingerprintHash>
         index;
+    /// Keys claimed by an in-flight miss: at most one per evaluating
+    /// thread, so a scan beats a hash set.
+    std::vector<Fingerprint> claimed;
+    std::condition_variable claimEnded;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t inserts = 0;
@@ -144,6 +205,11 @@ class EvalCache {
   [[nodiscard]] Shard& shardFor(const Fingerprint& key) {
     return *shards_[key.hi & (shards_.size() - 1)];
   }
+  /// The entry under `key` moved to the LRU front, or null. Lock held.
+  [[nodiscard]] static const EvaluationResult* findLocked(
+      Shard& shard, const Fingerprint& key);
+  /// Ends the key's claim and wakes the shard's waiting probes.
+  void release(const Fingerprint& key) noexcept;
 
   std::size_t perShardCapacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

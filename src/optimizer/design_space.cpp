@@ -53,6 +53,7 @@ std::string toString(MirrorChoice choice) {
 
 std::string CandidateSpec::label() const {
   std::string out;
+  out.reserve(96);  // one allocation for every label of the grids swept
   auto sep = [&] {
     if (!out.empty()) out += " + ";
   };
@@ -111,6 +112,46 @@ bool CandidateSpec::valid() const {
   return true;
 }
 
+namespace {
+
+/// The catalog devices build() places, made by each thread on its first
+/// build and shared, immutable, by every design that thread builds. A role's
+/// key is every argument it is constructed with; all are constants here
+/// except the WAN link count. Within one design the roles stay separate
+/// devices, because computeOutlays and StorageDesign::devices() group by
+/// pointer. The table is per thread, not per process: each candidate copies
+/// these pointers into storage lists, legs, demands and plan rows, and pool
+/// workers sharing one table would all count on the same control blocks.
+struct CatalogDevices {
+  DevicePtr primaryArray = catalog::midrangeDiskArray(
+      casestudy::kPrimaryArrayName, Location::at(casestudy::kPrimarySite));
+  DevicePtr mirrorArray = catalog::midrangeDiskArray(
+      "mirror-array", Location::at(casestudy::kMirrorSite), RaidLevel::kRaid1,
+      SpareSpec::none());
+  DevicePtr tapeLibrary = catalog::enterpriseTapeLibrary(
+      "tape-library", Location::at(casestudy::kPrimarySite));
+  DevicePtr tapeVault = catalog::offsiteTapeVault(
+      "tape-vault", Location::at(casestudy::kVaultSite));
+  DevicePtr airShipment = catalog::overnightAirShipment(
+      "air-shipment", Location::at("in-transit"));
+  /// Link devices by count, made on first use. Past kMaxLinkCounts distinct
+  /// counts, further ones are built fresh per design and not kept.
+  std::vector<std::pair<int, DevicePtr>> wanLinks;
+  static constexpr std::size_t kMaxLinkCounts = 64;
+
+  DevicePtr wanLinksFor(int count) {
+    for (const auto& [key, links] : wanLinks) {
+      if (key == count) return links;
+    }
+    DevicePtr links =
+        catalog::oc3WanLinks("wan-links", Location::at("wide-area"), count);
+    if (wanLinks.size() < kMaxLinkCounts) wanLinks.emplace_back(count, links);
+    return links;
+  }
+};
+
+}  // namespace
+
 StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                                    const BusinessRequirements& business) const {
   namespace cs = casestudy;
@@ -118,9 +159,8 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
     throw DesignError("cannot build invalid candidate: " + label());
   }
 
-  auto array =
-      catalog::midrangeDiskArray(cs::kPrimaryArrayName,
-                                 Location::at(cs::kPrimarySite));
+  static thread_local CatalogDevices devices;
+  const DevicePtr& array = devices.primaryArray;
   std::vector<TechniquePtr> levels;
   levels.push_back(std::make_shared<PrimaryCopy>(array));
 
@@ -145,12 +185,6 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
   }
 
   if (mirror != MirrorChoice::kNone) {
-    auto remote = catalog::midrangeDiskArray("mirror-array",
-                                             Location::at(cs::kMirrorSite),
-                                             RaidLevel::kRaid1,
-                                             SpareSpec::none());
-    auto links = catalog::oc3WanLinks("wan-links", Location::at("wide-area"),
-                                      mirrorLinkCount);
     ProtectionPolicy policy = continuousMirrorPolicy();
     MirrorMode mode = MirrorMode::kSync;
     if (mirror == MirrorChoice::kAsync) {
@@ -164,12 +198,12 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                                 1, minutes(1));
     }
     levels.push_back(std::make_shared<RemoteMirror>(
-        toString(mirror), mode, array, remote, links, std::move(policy)));
+        toString(mirror), mode, array, devices.mirrorArray,
+        devices.wanLinksFor(mirrorLinkCount), std::move(policy)));
   }
 
   if (backup != BackupChoice::kNone) {
-    auto library = catalog::enterpriseTapeLibrary(
-        "tape-library", Location::at(cs::kPrimarySite));
+    const DevicePtr& library = devices.tapeLibrary;
     const Duration propW = std::min(backupAccW * 0.5, hours(48));
     const Duration retW = weeks(4);
     const int retCnt = std::max(
@@ -198,10 +232,6 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
         array, library, policy));
 
     if (vault) {
-      auto vaultDevice = catalog::offsiteTapeVault(
-          "tape-vault", Location::at(cs::kVaultSite));
-      auto shipment = catalog::overnightAirShipment(
-          "air-shipment", Location::at("in-transit"));
       const int vaultRetCnt = std::max(
           1, static_cast<int>(years(3) / vaultAccW));
       const ProtectionPolicy vaultPolicy(
@@ -210,8 +240,8 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                      .holdW = hours(12)},
           vaultRetCnt, years(3));
       levels.push_back(std::make_shared<Vaulting>(
-          "remote vaulting", library, vaultDevice, shipment, vaultPolicy,
-          retW));
+          "remote vaulting", library, devices.tapeVault, devices.airShipment,
+          vaultPolicy, retW));
     }
   }
 
@@ -219,30 +249,67 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                        cs::recoveryFacility());
 }
 
-std::uint64_t gridCardinality(const DesignSpaceOptions& options) {
-  // The same axis collapsing the enumeration applies: a kNone choice
-  // collapses its dependent axes to a single point.
+namespace {
+
+// The odometer's digits form three independent groups: PiT (digits 0-2),
+// backup/vault (3-6) and mirror (7-8). A group's points are the runs of its
+// choices in order; a kNone choice collapses its dependent axes to a single
+// point, and a choice over an empty axis has no points.
+
+std::uint64_t pitPoints(const DesignSpaceOptions& options, PitChoice pit) {
+  return pit == PitChoice::kNone
+             ? 1
+             : static_cast<std::uint64_t>(options.pitAccWs.size()) *
+                   options.pitRetentionCounts.size();
+}
+
+/// Points under one backup interval: no vault, then one per vault interval.
+std::uint64_t vaultPoints(const DesignSpaceOptions& options,
+                          BackupChoice backup) {
+  return backup == BackupChoice::kNone ? 1 : 1 + options.vaultAccWs.size();
+}
+
+std::uint64_t backupPoints(const DesignSpaceOptions& options,
+                           BackupChoice backup) {
+  const std::uint64_t intervals =
+      backup == BackupChoice::kNone ? 1 : options.backupAccWs.size();
+  return intervals * vaultPoints(options, backup);
+}
+
+std::uint64_t mirrorPoints(const DesignSpaceOptions& options,
+                           MirrorChoice mirror) {
+  return mirror == MirrorChoice::kNone ? 1 : options.mirrorLinkCounts.size();
+}
+
+template <typename Choice>
+std::uint64_t groupPoints(
+    const DesignSpaceOptions& options, const std::vector<Choice>& choices,
+    std::uint64_t (*points)(const DesignSpaceOptions&, Choice)) {
   std::uint64_t total = 0;
-  for (PitChoice pit : options.pitChoices) {
-    const std::uint64_t pitN =
-        pit == PitChoice::kNone
-            ? 1
-            : static_cast<std::uint64_t>(options.pitAccWs.size()) *
-                  options.pitRetentionCounts.size();
-    for (BackupChoice backup : options.backupChoices) {
-      const std::uint64_t backupN =
-          backup == BackupChoice::kNone ? 1 : options.backupAccWs.size();
-      const std::uint64_t vaultN =
-          backup == BackupChoice::kNone ? 1 : 1 + options.vaultAccWs.size();
-      for (MirrorChoice mirror : options.mirrorChoices) {
-        const std::uint64_t mirrorN = mirror == MirrorChoice::kNone
-                                          ? 1
-                                          : options.mirrorLinkCounts.size();
-        total += pitN * backupN * vaultN * mirrorN;
-      }
-    }
-  }
+  for (const Choice choice : choices) total += points(options, choice);
   return total;
+}
+
+/// The choice whose run holds group point `point` (below the group's total);
+/// leaves in `point` its offset within that run.
+template <typename Choice>
+std::size_t choiceHolding(
+    const DesignSpaceOptions& options, const std::vector<Choice>& choices,
+    std::uint64_t (*points)(const DesignSpaceOptions&, Choice),
+    std::uint64_t& point) {
+  std::size_t c = 0;
+  while (point >= points(options, choices[c])) {
+    point -= points(options, choices[c++]);
+  }
+  return c;
+}
+
+}  // namespace
+
+std::uint64_t gridCardinality(const DesignSpaceOptions& options) {
+  return groupPoints(options, options.pitChoices, pitPoints) *
+         groupPoints(options, options.backupChoices, backupPoints) *
+         groupPoints(options, options.mirrorChoices, mirrorPoints);
 }
 
 DesignSpaceCursor::DesignSpaceCursor(DesignSpaceOptions options)
@@ -340,6 +407,46 @@ bool DesignSpaceCursor::advance() {
   return positionFrom(digit + 1);
 }
 
+bool DesignSpaceCursor::seek(std::uint64_t index) {
+  const std::uint64_t pitN =
+      groupPoints(options_, options_.pitChoices, pitPoints);
+  const std::uint64_t backupN =
+      groupPoints(options_, options_.backupChoices, backupPoints);
+  const std::uint64_t mirrorN =
+      groupPoints(options_, options_.mirrorChoices, mirrorPoints);
+  const std::uint64_t total = pitN * backupN * mirrorN;
+  if (index >= total) {
+    enumerated_ = total;  // as if every point had been walked
+    exhausted_ = true;
+    return false;
+  }
+  enumerated_ = index;
+  // Odometer order numbers the grid (pit * backupN + backup) * mirrorN +
+  // mirror over the group points; each group point then splits into the
+  // choice digit and the digits within the choice's run.
+  std::uint64_t mirror = index % mirrorN;
+  std::uint64_t backup = index / mirrorN % backupN;
+  std::uint64_t pit = index / mirrorN / backupN;
+
+  idx_[0] = choiceHolding(options_, options_.pitChoices, pitPoints, pit);
+  idx_[1] = static_cast<std::size_t>(pit / extent(2));
+  idx_[2] = static_cast<std::size_t>(pit % extent(2));
+
+  idx_[3] =
+      choiceHolding(options_, options_.backupChoices, backupPoints, backup);
+  const std::uint64_t perInterval =
+      vaultPoints(options_, options_.backupChoices[idx_[3]]);
+  const std::uint64_t vaultPoint = backup % perInterval;
+  idx_[4] = static_cast<std::size_t>(backup / perInterval);
+  idx_[5] = vaultPoint == 0 ? 0 : 1;
+  idx_[6] = static_cast<std::size_t>(vaultPoint == 0 ? 0 : vaultPoint - 1);
+
+  idx_[7] =
+      choiceHolding(options_, options_.mirrorChoices, mirrorPoints, mirror);
+  idx_[8] = static_cast<std::size_t>(mirror);
+  return true;
+}
+
 void DesignSpaceCursor::restrictTo(std::uint64_t begin, std::uint64_t end) {
   rangeBegin_ = begin;
   rangeEnd_ = end;
@@ -349,17 +456,14 @@ bool DesignSpaceCursor::next(CandidateSpec& out) {
   while (!exhausted_) {
     if (!started_) {
       started_ = true;
-      if (!positionFrom(0)) return false;
+      if (!seek(rangeBegin_)) return false;
     } else if (!advance()) {
       return false;
     }
     ++enumerated_;
-    // Grid index of the point just visited; a restricted cursor walks (but
-    // never produces) points before its range and stops at its end. The
-    // skip walk is O(begin) odometer steps — negligible on these grids.
-    const std::uint64_t gridIndex = enumerated_ - 1;
-    if (gridIndex < rangeBegin_) continue;
-    if (gridIndex >= rangeEnd_) {
+    // Grid index of the point just visited; a restricted cursor starts at
+    // its range and stops at its end.
+    if (enumerated_ - 1 >= rangeEnd_) {
       exhausted_ = true;
       return false;
     }

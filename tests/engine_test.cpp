@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "casestudy/casestudy.hpp"
@@ -144,6 +146,32 @@ TEST(EvalCache, ShardCountRoundsToPowerOfTwo) {
   EvalCache cache(100, 3);
   EXPECT_EQ(cache.shardCount(), 4u);
   EXPECT_GE(cache.capacity(), 100u);
+}
+
+TEST(EvalCache, ProbeClaimsAMissAndWaitersReadTheClaimantsEntry) {
+  EvalCache cache(/*capacity=*/8, /*shards=*/1);
+  const Fingerprint key{3, 4};
+  EvalCache::Probe first = cache.probe(key);
+  ASSERT_FALSE(first.hit.has_value());
+  std::thread waiter([&] {
+    const EvalCache::Probe second = cache.probe(key);
+    ASSERT_TRUE(second.hit.has_value());
+    EXPECT_DOUBLE_EQ(second.hit->cost.totalOutlays.usd(), 5.0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  first.claim.fulfil(markedResult(5.0));
+  waiter.join();
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // A claim dropped without an entry hands the key to the next probe.
+  const Fingerprint other{5, 6};
+  { const EvalCache::Probe dropped = cache.probe(other); }
+  const EvalCache::Probe again = cache.probe(other);
+  EXPECT_FALSE(again.hit.has_value());
+  EXPECT_EQ(cache.stats().misses, 3u);
+  // lookup() neither claims nor waits on a claimed key.
+  EXPECT_FALSE(cache.lookup(other).has_value());
 }
 
 // ---- ThreadPool ------------------------------------------------------------
@@ -414,6 +442,144 @@ TEST(Search, OutlaysRecordedOnceAndScenarioIndependent) {
     EXPECT_EQ(evaluate(design, scenario).cost.totalOutlays.raw(),
               candidate.outlays.raw());
   }
+}
+
+// ---- Single-flight misses through the engine ---------------------------------
+
+/// `threads` callers evaluating the same (design, scenario) pair at once,
+/// each with its own one-pair batch.
+std::vector<BatchResult> evaluateConcurrently(Engine& engine,
+                                              const EvalRequest& request,
+                                              int threads) {
+  std::vector<BatchResult> out(static_cast<std::size_t>(threads));
+  std::vector<std::thread> callers;
+  for (int i = 0; i < threads; ++i) {
+    callers.emplace_back([&, i] {
+      out[static_cast<std::size_t>(i)] = engine.evaluateBatch({request});
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  return out;
+}
+
+TEST(SingleFlight, ConcurrentMissesOfOnePairComputeOnce) {
+  constexpr int kThreads = 8;
+  Engine engine(EngineOptions{.threads = 1});
+  FaultPlan plan;
+  plan.sites = faultSiteBit(FaultSite::kEvaluate);
+  plan.latency = std::chrono::milliseconds(20);  // the claim stays held
+  engine.setFaultInjector(std::make_shared<FaultInjector>(plan));
+  const EvalRequest request{std::make_shared<const StorageDesign>(cs::baseline()),
+                            cs::arrayFailure()};
+  const EvaluationResult reference =
+      evaluate(*request.design, request.scenario);
+
+  std::uint64_t hits = 0;
+  std::uint64_t computed = 0;
+  for (const BatchResult& result :
+       evaluateConcurrently(engine, request, kThreads)) {
+    ASSERT_TRUE(result.allOk());
+    expectBitIdentical(result.results[0].value(), reference);
+    hits += result.stats.cacheHits;
+    computed += result.stats.evaluations;
+  }
+  EXPECT_EQ(computed, 1u);
+  EXPECT_EQ(hits, kThreads - 1u);
+  const EvalCache::Stats stats = engine.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1u);
+}
+
+TEST(SingleFlight, LostInsertsHandTheClaimOnAndEveryRequestSucceeds) {
+  // Every insert fails after a delay, so no claimant leaves an entry: each
+  // waiter claims in turn and computes, and no request fails.
+  constexpr int kThreads = 6;
+  Engine engine(EngineOptions{.threads = 1});
+  FaultPlan plan;
+  plan.sites = faultSiteBit(FaultSite::kCacheInsert);
+  plan.probability = 1.0;
+  plan.latency = std::chrono::milliseconds(10);
+  engine.setFaultInjector(std::make_shared<FaultInjector>(plan));
+  const EvalRequest request{std::make_shared<const StorageDesign>(cs::baseline()),
+                            cs::siteDisaster()};
+  const EvaluationResult reference =
+      evaluate(*request.design, request.scenario);
+
+  for (const BatchResult& result :
+       evaluateConcurrently(engine, request, kThreads)) {
+    ASSERT_TRUE(result.allOk());
+    expectBitIdentical(result.results[0].value(), reference);
+    EXPECT_EQ(result.stats.evaluations, 1u);
+  }
+  const EvalCache::Stats stats = engine.cache().stats();
+  EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.insertFailures, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(SingleFlight, WaiterAnswersItsDeadlineWhileAnotherThreadComputes) {
+  Engine engine(EngineOptions{.threads = 1});
+  const auto design = std::make_shared<const StorageDesign>(cs::baseline());
+  const FailureScenario scenario = cs::arrayFailure();
+  // The test holds the pair's claim, as a slow evaluation would.
+  EvalCache::Probe held =
+      engine.cache().probe(fingerprintEvaluation(*design, scenario));
+  ASSERT_FALSE(held.hit.has_value());
+
+  BatchOptions options;
+  options.deadline = std::chrono::milliseconds(20);
+  const auto start = std::chrono::steady_clock::now();
+  const BatchResult waited =
+      engine.evaluateBatch({EvalRequest{design, scenario}}, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(waited.results[0].ok());
+  EXPECT_EQ(waited.results[0].error().code, EvalErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(waited.stats.cancelled, 1u);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+
+  // Released unfulfilled, the claim passes to the next caller.
+  { const EvalCache::Probe released = std::move(held); }
+  const BatchResult after = engine.evaluateBatch({EvalRequest{design, scenario}});
+  ASSERT_TRUE(after.allOk());
+  EXPECT_EQ(after.stats.evaluations, 1u);
+}
+
+TEST(SingleFlight, WarmBatchStatsIgnoreConcurrentColdMisses) {
+  // A batch reports the hits and computations of its own pairs, whatever
+  // other callers of the same cache miss meanwhile.
+  Engine engine(EngineOptions{.threads = 2, .cacheCapacity = 1 << 16});
+  std::vector<EvalRequest> warm;
+  for (const auto& [label, design] : cs::allWhatIfDesigns()) {
+    auto shared = std::make_shared<const StorageDesign>(design);
+    for (const FailureScenario& scenario :
+         {cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()}) {
+      warm.push_back(EvalRequest{shared, scenario});
+    }
+  }
+  ASSERT_TRUE(engine.evaluateBatch(warm).allOk());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> coldMisses{0};
+  std::thread cold([&] {
+    // Each recovery-target age is a pair the cache has never seen; the cap
+    // keeps every shard below capacity, so no warm pair is evicted.
+    const StorageDesign design = cs::baseline();
+    FailureScenario scenario = cs::objectFailure();
+    for (int age = 1; !stop.load() && age <= 20'000; ++age) {
+      scenario.recoveryTargetAge = seconds(age);
+      (void)engine.evaluate(design, scenario);
+      coldMisses.fetch_add(1);
+    }
+  });
+  for (int round = 0; round < 300; ++round) {
+    const BatchResult result = engine.evaluateBatch(warm);
+    ASSERT_TRUE(result.allOk());
+    EXPECT_EQ(result.stats.cacheHits, warm.size()) << "round " << round;
+    EXPECT_EQ(result.stats.evaluations, 0u) << "round " << round;
+  }
+  stop.store(true);
+  cold.join();
+  EXPECT_GT(coldMisses.load(), 0u);
 }
 
 }  // namespace

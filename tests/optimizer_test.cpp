@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "casestudy/casestudy.hpp"
+#include "config/design_io.hpp"
+#include "engine/arena.hpp"
+#include "engine/plan.hpp"
 #include "optimizer/refine.hpp"
 #include "optimizer/search.hpp"
 
@@ -153,6 +160,191 @@ TEST(DesignSpace, BuildsEvaluableDesigns) {
   EXPECT_TRUE(result.recovery.recoverable);
   // This candidate is close to the paper's baseline: same DL structure.
   EXPECT_GT(result.recovery.dataLoss, hours(100));
+}
+
+/// The 14,883-point big grid the benchmark sweeps stream (11,890 valid).
+DesignSpaceOptions bigGrid() {
+  DesignSpaceOptions options;
+  options.pitAccWs = {hours(3), hours(6), hours(12), hours(24), hours(48)};
+  options.pitRetentionCounts = {1, 2, 4, 8};
+  options.backupAccWs = {hours(24), days(3), weeks(1), weeks(2)};
+  options.vaultAccWs = {weeks(1), weeks(4), weeks(12)};
+  options.mirrorChoices = {MirrorChoice::kNone, MirrorChoice::kAsync,
+                           MirrorChoice::kAsyncBatch};
+  options.mirrorLinkCounts = {1, 2, 4, 8, 16};
+  return options;
+}
+
+DevicePtr deviceNamed(const StorageDesign& design, const std::string& name) {
+  for (DevicePtr& device : design.devices()) {
+    if (device->name() == name) return std::move(device);
+  }
+  ADD_FAILURE() << design.name() << " has no device " << name;
+  return nullptr;
+}
+
+TEST(DesignSpace, CatalogDevicesAreSharedAcrossCandidatesNotRoles) {
+  const CandidateSpec full{.pit = PitChoice::kSplitMirror,
+                           .backup = BackupChoice::kFullPlusIncremental,
+                           .vault = true,
+                           .mirror = MirrorChoice::kAsyncBatch,
+                           .mirrorLinkCount = 4};
+  const StorageDesign design = full.build(cs::celloWorkload(),
+                                          cs::requirements());
+  // Within one design every role is its own device: outlays and
+  // StorageDesign::devices() group by pointer.
+  const std::vector<DevicePtr> devices = design.devices();
+  std::unordered_set<const DeviceModel*> distinct;
+  for (const DevicePtr& device : devices) distinct.insert(device.get());
+  EXPECT_EQ(devices.size(), 6u);  // arrays, links, library, vault, courier
+  EXPECT_EQ(distinct.size(), devices.size());
+
+  // Across candidates built on one thread, equal devices are one object;
+  // a different link count is a different device.
+  CandidateSpec other = full;
+  other.pit = PitChoice::kSnapshot;
+  other.backup = BackupChoice::kFullOnly;
+  const StorageDesign same = other.build(cs::celloWorkload(),
+                                         cs::requirements());
+  for (const DevicePtr& device : same.devices()) {
+    EXPECT_EQ(device, deviceNamed(design, device->name())) << device->name();
+  }
+  other.mirrorLinkCount = 10;
+  const StorageDesign moreLinks = other.build(cs::celloWorkload(),
+                                              cs::requirements());
+  EXPECT_NE(deviceNamed(moreLinks, "wan-links"),
+            deviceNamed(design, "wan-links"));
+  EXPECT_EQ(deviceNamed(moreLinks, "mirror-array"),
+            deviceNamed(design, "mirror-array"));
+}
+
+TEST(DesignSpace, SharedDevicesEvaluateLikeFreshOnes) {
+  // A design re-read from its JSON has devices of its own. Every big-grid
+  // candidate evaluates to the same bits either way.
+  const stordep::FailureScenario scenarios[] = {
+      cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()};
+  engine::BumpArena arena;
+  DesignSpaceCursor cursor(bigGrid());
+  CandidateSpec spec;
+  std::size_t checked = 0;
+  while (cursor.next(spec)) {
+    const StorageDesign shared = spec.build(cs::celloWorkload(),
+                                            cs::requirements());
+    const StorageDesign fresh =
+        config::designFromJson(config::designToJson(shared));
+    const auto sharedPlan = engine::EvalPlan::compile(shared);
+    const auto freshPlan = engine::EvalPlan::compile(fresh);
+    ASSERT_NE(sharedPlan, nullptr) << spec.label();
+    ASSERT_NE(freshPlan, nullptr) << spec.label();
+    for (const stordep::FailureScenario& scenario : scenarios) {
+      const EvaluationMetrics a = sharedPlan->evaluate(scenario, arena);
+      const EvaluationMetrics b = freshPlan->evaluate(scenario, arena);
+      const auto bits = [](const EvaluationMetrics& m) {
+        return std::vector<std::uint64_t>{
+            std::bit_cast<std::uint64_t>(m.recoveryTime.raw()),
+            std::bit_cast<std::uint64_t>(m.dataLoss.raw()),
+            std::bit_cast<std::uint64_t>(m.payload.raw()),
+            std::bit_cast<std::uint64_t>(m.totalOutlays.raw()),
+            std::bit_cast<std::uint64_t>(m.outagePenalty.raw()),
+            std::bit_cast<std::uint64_t>(m.lossPenalty.raw()),
+            std::bit_cast<std::uint64_t>(m.totalPenalties.raw()),
+            std::bit_cast<std::uint64_t>(m.totalCost.raw()),
+            static_cast<std::uint64_t>(m.utilizationFeasible),
+            static_cast<std::uint64_t>(m.recoverable),
+            static_cast<std::uint64_t>(m.meetsObjectives),
+            static_cast<std::uint64_t>(m.sourceLevel)};
+      };
+      ASSERT_EQ(bits(a), bits(b)) << spec.label();
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 11'890u);
+}
+
+// ---- Range cursors ----------------------------------------------------------
+
+/// One next() that produced a candidate, and enumerated() after it.
+struct Visit {
+  CandidateSpec spec;
+  std::uint64_t enumerated = 0;
+  friend bool operator==(const Visit&, const Visit&) = default;
+};
+
+std::vector<Visit> drainVisits(DesignSpaceCursor& cursor) {
+  std::vector<Visit> out;
+  CandidateSpec spec;
+  while (cursor.next(spec)) out.push_back({spec, cursor.enumerated()});
+  return out;
+}
+
+/// A cursor restricted to [begin, end) yields the unrestricted walk's
+/// visits inside the range, and ends with enumerated() where that walk
+/// stopped: one past the first point at or beyond both bounds, or the grid
+/// size.
+void expectRangeMatchesWalk(const DesignSpaceOptions& options,
+                            const std::vector<Visit>& walk,
+                            std::uint64_t begin, std::uint64_t end) {
+  std::vector<Visit> expected;
+  for (const Visit& visit : walk) {
+    const std::uint64_t index = visit.enumerated - 1;
+    if (index >= begin && index < end) expected.push_back(visit);
+  }
+  DesignSpaceCursor cursor(options);
+  cursor.restrictTo(begin, end);
+  const std::vector<Visit> got = drainVisits(cursor);
+  ASSERT_EQ(got.size(), expected.size()) << "[" << begin << ", " << end << ")";
+  EXPECT_TRUE(got == expected) << "[" << begin << ", " << end << ")";
+  const std::uint64_t stop = std::max(begin, end);
+  const std::uint64_t total = gridCardinality(options);
+  EXPECT_EQ(cursor.enumerated(), stop < total ? stop + 1 : total)
+      << "[" << begin << ", " << end << ")";
+}
+
+TEST(DesignSpaceCursor, SeekingRangesMatchTheWalk) {
+  DesignSpaceOptions noPitAccW;
+  noPitAccW.pitAccWs.clear();
+  DesignSpaceOptions noVaultNoLinks = bigGrid();
+  noVaultNoLinks.vaultAccWs.clear();
+  noVaultNoLinks.mirrorLinkCounts.clear();
+  DesignSpaceOptions noBackupAccW = bigGrid();
+  noBackupAccW.backupAccWs.clear();
+  DesignSpaceOptions noPit;
+  noPit.pitChoices.clear();
+  const std::vector<std::pair<std::string, DesignSpaceOptions>> grids = {
+      {"default", {}},
+      {"big", bigGrid()},
+      {"no PiT intervals", noPitAccW},
+      {"no vault intervals or link counts", noVaultNoLinks},
+      {"no backup intervals", noBackupAccW},
+      {"no PiT choices", noPit}};
+  std::mt19937_64 rng(2004);
+  for (const auto& [name, options] : grids) {
+    SCOPED_TRACE(name);
+    DesignSpaceCursor full(options);
+    const std::vector<Visit> walk = drainVisits(full);
+    const std::uint64_t total = gridCardinality(options);
+    ASSERT_EQ(full.enumerated(), total);
+
+    for (const std::uint64_t parts : {1u, 7u, 64u}) {
+      std::uint64_t begin = 0;
+      for (std::uint64_t p = 1; p <= parts; ++p) {
+        const std::uint64_t end = total * p / parts;
+        expectRangeMatchesWalk(options, walk, begin, end);
+        begin = end;
+      }
+    }
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t a = rng() % (total + 4);
+      const std::uint64_t b = rng() % (total + 4);
+      expectRangeMatchesWalk(options, walk, std::min(a, b), std::max(a, b));
+    }
+    expectRangeMatchesWalk(options, walk, 0, UINT64_MAX);
+    expectRangeMatchesWalk(options, walk, 0, 0);
+    expectRangeMatchesWalk(options, walk, total, total + 10);
+    expectRangeMatchesWalk(options, walk, total + 5, total + 6);
+    expectRangeMatchesWalk(options, walk, total + 5, 2);  // end before begin
+    if (total > 0) expectRangeMatchesWalk(options, walk, total - 1, total);
+  }
 }
 
 TEST(Search, RanksByTotalCost) {

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 namespace stordep {
 namespace {
@@ -95,6 +102,105 @@ TEST(Formatting, HumanReadable) {
   EXPECT_EQ(toString(millionDollars(11.94)), "$11.94M");
   EXPECT_EQ(toString(dollars(650)), "$650");
   EXPECT_EQ(toString(dollarsPerHour(50'000)), "$50000/hr");
+}
+
+// ---- toString against a printf oracle --------------------------------------
+
+/// printf's "%.*f" of `value` in a buffer with room for any double, trailing
+/// zeros and a bare point trimmed: what every toString prints its number as.
+std::string fixedOracle(double value, int prec) {
+  std::vector<char> buf(1024);
+  std::snprintf(buf.data(), buf.size(), "%.*f", prec, value);
+  std::string s = buf.data();
+  if (s.find('.') != std::string::npos) {
+    while (s.back() == '0') s.pop_back();
+    if (s.back() == '.') s.pop_back();
+  }
+  return s;
+}
+
+// The oracles restate each toString's unit choice; only the number
+// formatting differs from the code under test.
+std::string bytesOracle(Bytes b) {
+  if (b.isInfinite()) return "inf B";
+  const double v = b.bytes();
+  if (v >= Bytes::kTB) return fixedOracle(b.terabytes(), 2) + " TB";
+  if (v >= Bytes::kGB) return fixedOracle(b.gigabytes(), 2) + " GB";
+  if (v >= Bytes::kMB) return fixedOracle(b.megabytes(), 2) + " MB";
+  if (v >= Bytes::kKB) return fixedOracle(b.kilobytes(), 2) + " KB";
+  return fixedOracle(v, 0) + " B";
+}
+
+std::string durationOracle(Duration d) {
+  if (d.isInfinite()) return "inf";
+  const double v = d.secs();
+  if (v >= Duration::kYear) return fixedOracle(d.yrs(), 2) + " yr";
+  if (v >= Duration::kWeek) return fixedOracle(d.wks(), 2) + " wk";
+  if (v >= Duration::kDay) return fixedOracle(d.dys(), 2) + " days";
+  if (v >= Duration::kHour) return fixedOracle(d.hrs(), 2) + " hr";
+  if (v >= Duration::kMinute) return fixedOracle(d.minutes(), 2) + " min";
+  return fixedOracle(v, 3) + " s";
+}
+
+std::string bandwidthOracle(Bandwidth bw) {
+  if (bw.isInfinite()) return "inf MB/s";
+  const double v = bw.bytesPerSec();
+  if (v >= Bytes::kMB) return fixedOracle(bw.mbPerSec(), 2) + " MB/s";
+  if (v >= Bytes::kKB) return fixedOracle(bw.kbPerSec(), 2) + " KB/s";
+  return fixedOracle(v, 1) + " B/s";
+}
+
+std::string moneyOracle(Money m) {
+  const double v = m.usd();
+  if (std::fabs(v) >= 1e6) return "$" + fixedOracle(v / 1e6, 2) + "M";
+  if (std::fabs(v) >= 1e3) return "$" + fixedOracle(v / 1e3, 1) + "K";
+  return "$" + fixedOracle(v, 2);
+}
+
+void expectAllMatchOracle(double value) {
+  EXPECT_EQ(toString(Bytes{value}), bytesOracle(Bytes{value})) << value;
+  EXPECT_EQ(toString(Duration{value}), durationOracle(Duration{value}))
+      << value;
+  EXPECT_EQ(toString(Bandwidth{value}), bandwidthOracle(Bandwidth{value}))
+      << value;
+  EXPECT_EQ(toString(Money{value}), moneyOracle(Money{value})) << value;
+}
+
+TEST(Formatting, HugeValuesPrintEveryDigit) {
+  // Numbers longer than any fixed small buffer print every digit.
+  EXPECT_EQ(toString(years(1e70)), durationOracle(years(1e70)));
+  EXPECT_EQ(toString(Bytes{1e80}), bytesOracle(Bytes{1e80}));
+  EXPECT_EQ(toString(years(1e70)).size(), 71u + 3u);  // 71 digits + " yr"
+  for (double value = 1e60; value < 1e308; value *= 1e7) {
+    expectAllMatchOracle(value);
+    expectAllMatchOracle(-value);
+  }
+  expectAllMatchOracle(std::numeric_limits<double>::max());
+  expectAllMatchOracle(std::numeric_limits<double>::lowest());
+}
+
+TEST(Formatting, MatchesPrintfOracle) {
+  // Every precision toString prints (0 for bytes, 1 for bandwidth, 2 for
+  // most units, 3 for seconds) over seeded random bit patterns (NaN,
+  // infinities, subnormals and negatives included), decimal ratios, and
+  // exact binary ties, which printf rounds to even.
+  std::mt19937_64 rng(20041);
+  for (int i = 0; i < 6000; ++i) {
+    expectAllMatchOracle(std::bit_cast<double>(rng()));
+    const double scale = std::pow(10.0, static_cast<int>(rng() % 16) - 4);
+    expectAllMatchOracle(static_cast<double>(rng() % 1000000) / scale);
+  }
+  for (std::uint64_t odd = 1; odd < 4096; odd += 2) {
+    const double n = static_cast<double>(odd);
+    EXPECT_EQ(toString(Bytes{n / 2}), bytesOracle(Bytes{n / 2}));  // prec 0
+    EXPECT_EQ(toString(Bandwidth{n / 4}), bandwidthOracle(Bandwidth{n / 4}));
+    EXPECT_EQ(toString(Money{n / 8}), moneyOracle(Money{n / 8}));  // prec 2
+    EXPECT_EQ(toString(seconds(n / 16)), durationOracle(seconds(n / 16)));
+  }
+  EXPECT_EQ(toString(Bytes{2.5}), "2 B");
+  EXPECT_EQ(toString(Money{0.125}), "$0.12");
+  EXPECT_EQ(toString(seconds(0.0625)), "0.062 s");
+  EXPECT_EQ(toString(Money{-0.001}), "$-0");
 }
 
 TEST(Formatting, StreamsMatchToString) {
