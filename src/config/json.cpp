@@ -1,9 +1,10 @@
 #include "config/json.hpp"
 
 #include <array>
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <system_error>
 
 namespace stordep::config {
 
@@ -94,8 +95,16 @@ bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }
 namespace {
 
 void escapeString(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char c : s) {
+  // Plain characters are copied a run at a time, up to the next byte that
+  // needs an escape.
+  std::size_t runStart = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, runStart, i - runStart);
+    runStart = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -119,33 +128,38 @@ void escapeString(std::string& out, const std::string& s) {
         out += "\\f";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s, runStart);
   out += '"';
 }
 
+/// Prints the bytes printf gives in the C locale: "%.0f" for whole numbers
+/// below 1e15 (negative zero stays "-0"), "%.17g" otherwise, which
+/// std::to_chars with general format and precision 17 is defined to match.
 void writeNumber(std::string& out, double n) {
   if (!std::isfinite(n)) {
     // JSON has no infinity; serialize as null (readers treat it as absent).
     out += "null";
     return;
   }
-  if (n == std::floor(n) && std::fabs(n) < 1e15) {
-    std::array<char, 32> buf{};
-    std::snprintf(buf.data(), buf.size(), "%.0f", n);
-    out += buf.data();
-    return;
-  }
   std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.17g", n);
-  out += buf.data();
+  char* const first = buf.data();
+  char* const last = buf.data() + buf.size();
+  std::to_chars_result printed{};
+  if (n == std::floor(n) && std::fabs(n) < 1e15) {
+    if (n == 0.0 && std::signbit(n)) {
+      out += "-0";
+      return;
+    }
+    printed = std::to_chars(first, last, static_cast<std::int64_t>(n));
+  } else {
+    printed = std::to_chars(first, last, n, std::chars_format::general, 17);
+  }
+  out.append(first, printed.ptr);
 }
 
 class Parser {
@@ -282,15 +296,20 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run of plain characters up to the next quote, backslash
+      // or control character in one append.
+      const std::size_t runStart = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c < 0x20 || c == '"' || c == '\\') break;
+        ++pos_;
+      }
+      out.append(text_, runStart, pos_ - runStart);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (static_cast<unsigned char>(c) < 0x20) {
         fail("raw control character in string (use \\u escapes)");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
       }
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
@@ -356,28 +375,47 @@ class Parser {
     return out;
   }
 
+  [[nodiscard]] bool digitAt(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// checked while scanning, then converted in place by std::from_chars
+  /// (exact, subnormals included, independent of the process locale).
+  /// Values beyond the double range are rejected.
   Json parseNumber() {
-    const size_t start = pos_;
-    // JSON numbers start with '-' or a digit (no leading '+' or '.').
-    if (peek() != '-' && std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-      fail("invalid start of value");
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (!digitAt(pos_)) {
+      fail(pos_ == start ? "invalid start of value"
+                         : "expected a digit after '-'");
     }
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (text_[pos_++] == '0') {
+      if (digitAt(pos_)) fail("leading zero in number");
+    } else {
+      while (digitAt(pos_)) ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
+      if (!digitAt(pos_)) fail("expected a digit after '.'");
+      while (digitAt(pos_)) ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    try {
-      size_t consumed = 0;
-      const double value = std::stod(token, &consumed);
-      if (consumed != token.size()) throw std::invalid_argument(token);
-      return Json(value);
-    } catch (const std::exception&) {
-      fail("invalid number '" + token + "'");
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (!digitAt(pos_)) fail("expected a digit in exponent");
+      while (digitAt(pos_)) ++pos_;
     }
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result read = std::from_chars(first, last, value);
+    if (read.ec != std::errc{} || read.ptr != last) {
+      fail("invalid number '" + std::string(first, last) + "'");
+    }
+    return Json(value);
   }
 
   const std::string& text_;
@@ -390,8 +428,8 @@ class Parser {
 }  // namespace
 
 void Json::write(std::string& out, int indent, int depth) const {
-  const std::string pad(static_cast<size_t>(indent) * depth, ' ');
-  const std::string childPad(static_cast<size_t>(indent) * (depth + 1), ' ');
+  const std::size_t pad = static_cast<std::size_t>(indent) * depth;
+  const std::size_t childPad = pad + static_cast<std::size_t>(indent);
   const char* nl = indent > 0 ? "\n" : "";
   const char* space = indent > 0 ? "" : " ";
 
@@ -412,7 +450,7 @@ void Json::write(std::string& out, int indent, int depth) const {
     out += '[';
     out += nl;
     for (size_t i = 0; i < array.size(); ++i) {
-      if (indent > 0) out += childPad;
+      out.append(childPad, ' ');
       array[i].write(out, indent, depth + 1);
       if (i + 1 < array.size()) {
         out += ',';
@@ -420,7 +458,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       }
       out += nl;
     }
-    if (indent > 0) out += pad;
+    out.append(pad, ' ');
     out += ']';
   } else {
     const JsonObject& object = asObject();
@@ -431,7 +469,7 @@ void Json::write(std::string& out, int indent, int depth) const {
     out += '{';
     out += nl;
     for (size_t i = 0; i < object.size(); ++i) {
-      if (indent > 0) out += childPad;
+      out.append(childPad, ' ');
       escapeString(out, object[i].first);
       out += indent > 0 ? ": " : ":";
       object[i].second.write(out, indent, depth + 1);
@@ -441,7 +479,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       }
       out += nl;
     }
-    if (indent > 0) out += pad;
+    out.append(pad, ' ');
     out += '}';
   }
 }

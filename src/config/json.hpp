@@ -4,7 +4,15 @@
 // array, object), parse errors with line/column diagnostics, and pretty
 // printing. Object member order is preserved (designs round-trip in a
 // stable, reviewable layout). This is the storage format for designs,
-// workloads and scenarios (design_io.hpp).
+// workloads and scenarios (design_io.hpp), and the wire format of the
+// service.
+//
+// Numbers: dump() prints whole numbers below 1e15 as printf's "%.0f" and
+// every other finite value as "%.17g" (C locale, via std::to_chars), and
+// non-finite values as null. parse() accepts exactly RFC 8259's number
+// grammar (no "01", "-.5", "1." or "1.e3") and reads every finite value
+// dump() writes back to the same bits, subnormals included; values beyond
+// the double range are rejected.
 #pragma once
 
 #include <cstdint>

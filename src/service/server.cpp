@@ -107,8 +107,13 @@ struct Server::Connection {
   std::size_t parsed = 0;  ///< bytes of inBuf already consumed
   std::string outBuf;
   std::size_t written = 0;
-  bool waiting = false;   ///< evaluate job in flight; pause reading
-  bool closing = false;   ///< close once outBuf drains
+  /// Evaluate task in flight; pause reading. The task may send on `fd`
+  /// until its completion lands, so the fd stays open until then.
+  bool waiting = false;
+  /// Close once outBuf drains; while `waiting`, the peer is gone and the
+  /// close waits for the task's completion.
+  bool closing = false;
+  bool held = false;      ///< counted in heldConns_ (see holdForCompletion)
   bool epollOut = false;  ///< EPOLLOUT currently armed
 
   explicit Connection(HttpLimits limits) : parser(limits) {}
@@ -332,6 +337,8 @@ void Server::beginDrain() {
     close(listenFd_);
     listenFd_ = -1;
   }
+  // Completions queued without a wake release their connections first.
+  drainCompletions();
   // Idle keep-alive connections have nothing in flight: close them now.
   std::vector<std::uint64_t> idle;
   for (const auto& [id, conn] : conns_) {
@@ -385,6 +392,15 @@ void Server::closeConnection(std::uint64_t connId) {
   if (it == conns_.end()) return;
   Connection* conn = it->second.get();
   epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  if (conn->waiting) {
+    // Its evaluate task may still send on this fd. A closed fd number goes
+    // to the next accept4, and the task would answer a stranger, so the
+    // close waits for the task's completion (drainCompletions).
+    fdToConn_.erase(conn->fd);
+    conn->closing = true;
+    holdForCompletion(*conn);
+    return;
+  }
   close(conn->fd);
   fdToConn_.erase(conn->fd);
   conns_.erase(it);
@@ -442,6 +458,8 @@ void Server::processBuffer(Connection& conn) {
     dispatch(conn, std::move(request));
     if (conns_.count(id) == 0) return;  // closed or detached to a search
   }
+  // Pipelined input waits for the answer in flight.
+  if (conn.waiting && conn.parsed < conn.inBuf.size()) holdForCompletion(conn);
 }
 
 // ---- Routing ---------------------------------------------------------------
@@ -540,9 +558,14 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
 // ---- /v1/evaluate ----------------------------------------------------------
 
 /// One admitted /v1/evaluate request: everything its pool task needs, held
-/// by value (the loop thread may close the connection before it lands).
+/// by value. The loop keeps `fd` open until the task's completion lands.
 struct Server::EvaluateJob {
   std::uint64_t connId = 0;
+  int fd = -1;
+  /// The connection had no unsent output at dispatch, so the task may send
+  /// its response on `fd` itself; otherwise the loop writes it after the
+  /// earlier bytes.
+  bool sendDirect = false;
   bool keepAlive = true;
   bool arrayShape = false;
   bool shedStochastic = false;  ///< brown-out tier >= 1 when parsed
@@ -635,6 +658,8 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
 
   auto job = std::make_shared<EvaluateJob>();
   job->connId = conn.id;
+  job->fd = conn.fd;
+  job->sendDirect = conn.outBuf.size() == conn.written;
   job->keepAlive = request.keepAlive();
   job->arrayShape = parsed.array;
   job->shedStochastic = tier >= 1;
@@ -779,12 +804,27 @@ void Server::runEvaluate(const EvaluateJob& job) {
   }
   metrics_.evaluate.record(response.status,
                            std::chrono::steady_clock::now() - job.start);
-  // Released before the answer is queued, so a client holding its answer
+  // Released before the answer is sent, so a client holding its answer
   // never finds its slots still counted against admission.
   metrics_.inFlightSlots.fetch_sub(static_cast<std::int64_t>(slots),
                                    std::memory_order_relaxed);
-  queueCompletion(job.connId, serializeResponse(response, job.keepAlive),
-                  /*thenClose=*/!job.keepAlive);
+  std::string bytes = serializeResponse(response, job.keepAlive);
+  if (job.sendDirect) {
+    // Answer from this thread, so the loop's wake-up is off the request's
+    // critical path. What the socket does not take now (EAGAIN), or cannot
+    // (an error, which the loop's own write then meets), goes to the loop.
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = send(job.fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    bytes.erase(0, sent);
+  }
+  // The task never touches the socket after this.
+  queueCompletion(job.connId, std::move(bytes), /*thenClose=*/!job.keepAlive);
 }
 
 // ---- /v1/search ------------------------------------------------------------
@@ -1084,31 +1124,59 @@ void Server::handleWritable(Connection& conn) {
 
 void Server::queueCompletion(std::uint64_t connId, std::string bytes,
                              bool thenClose) {
+  bool wakeLoop = false;
   {
     std::lock_guard<std::mutex> lock(completionsMu_);
+    wakeLoop = wakeOnCompletion_ || thenClose || !bytes.empty();
     completions_.push_back(Completion{connId, std::move(bytes), thenClose});
   }
-  wake();
+  if (wakeLoop) wake();
+}
+
+void Server::holdForCompletion(Connection& conn) {
+  if (conn.held) return;
+  conn.held = true;
+  ++heldConns_;
 }
 
 void Server::drainCompletions() {
   std::vector<Completion> ready;
-  {
-    std::lock_guard<std::mutex> lock(completionsMu_);
-    ready.swap(completions_);
-  }
-  for (Completion& completion : ready) {
-    const auto it = conns_.find(completion.connId);
-    if (it == conns_.end()) continue;  // client vanished mid-evaluation
-    Connection& conn = *it->second;
-    conn.waiting = false;
-    conn.outBuf += completion.bytes;
-    if (completion.thenClose) conn.closing = true;
-    handleWritable(conn);
-    // Pipelined follow-on requests may already be buffered.
-    if (conns_.count(completion.connId) != 0 && !conn.closing) {
-      processBuffer(conn);
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(completionsMu_);
+      if (completions_.empty()) {
+        // Set with the queue empty under the lock: a task that queues
+        // after this finds whether the loop needs waking before it sleeps.
+        wakeOnCompletion_ =
+            heldConns_ > 0 || draining_ ||
+            shutdownRequested_.load(std::memory_order_acquire);
+        return;
+      }
+      ready.swap(completions_);
     }
+    for (Completion& completion : ready) {
+      const auto it = conns_.find(completion.connId);
+      if (it == conns_.end()) continue;
+      Connection& conn = *it->second;
+      conn.waiting = false;
+      if (conn.held) {
+        conn.held = false;
+        --heldConns_;
+      }
+      if (conn.closing) {
+        // The peer went away while the task held the fd: close it now.
+        closeConnection(conn.id);
+        continue;
+      }
+      conn.outBuf += completion.bytes;
+      if (completion.thenClose) conn.closing = true;
+      handleWritable(conn);
+      // Pipelined follow-on requests may already be buffered.
+      if (conns_.count(completion.connId) != 0 && !conn.closing) {
+        processBuffer(conn);
+      }
+    }
+    ready.clear();
   }
 }
 

@@ -16,11 +16,19 @@
 // evaluate request becomes one task on a thread pool the server owns
 // (sized from the engine's thread count): the task evaluates that
 // request's pairs, runs their Monte-Carlo envelopes and encodes the
-// response. Search requests each get a short-lived worker thread that
-// writes its chunked response directly (the connection is detached from
-// the loop first). Responses cross back onto the loop through a
-// mutex-guarded queue plus a pipe wake — the loop thread is the only one
-// that touches connection state.
+// response. When the connection had no unsent output at dispatch, the
+// task sends that response on the socket itself; the rest (often nothing)
+// crosses back onto the loop through a mutex-guarded completion queue.
+// It wakes the loop through a pipe unless the task sent everything and the
+// loop holds nothing back for it; then the client's next request wakes
+// the loop, which drains the completion in the same pass, and the answer
+// costs the loop no wake-up of its own. The loop thread is the only one
+// that touches connection state, and it never closes a connection whose
+// task may still send: a peer that hangs up meanwhile is taken out of
+// epoll, and its fd is closed when the task's completion lands (a closed
+// fd number is handed to the next accept4). Search requests each get a
+// short-lived worker thread that writes its chunked response directly
+// (the connection is detached from the loop first).
 //
 // Admission control: a connection cap (excess accepts get an immediate
 // 503), a bound on evaluate slots admitted and not yet answered (an array
@@ -185,6 +193,9 @@ class Server {
   void queueCompletion(std::uint64_t connId, std::string bytes,
                        bool thenClose);
   void drainCompletions();
+  /// `conn` waits on its task and now holds what only the task's completion
+  /// releases (input to parse, or a close): completions must wake the loop.
+  void holdForCompletion(Connection& conn);
   void closeConnection(std::uint64_t connId);
   void beginDrain();
   void wake() noexcept;
@@ -230,14 +241,25 @@ class Server {
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<int, std::uint64_t> fdToConn_;
 
-  // Cross-thread completion queue (evaluate tasks → loop).
+  // Cross-thread completion queue (evaluate tasks → loop). A task queues
+  // its completion after its last send on the connection's fd; the loop
+  // then clears `waiting`, writes what the task left and closes a
+  // connection whose peer went away meanwhile. A completion with no bytes
+  // and no close wakes the loop only when `wakeOnCompletion_` is set: the
+  // loop sets it, with the queue empty, before it sleeps while a waiting
+  // connection holds input or a hang-up (`heldConns_`) or the server
+  // drains. Otherwise the completion waits for the loop's next wake-up,
+  // which the client's next request brings, so a response the task sent
+  // whole costs the loop no wake-up of its own.
   std::mutex completionsMu_;
   struct Completion {
     std::uint64_t connId;
-    std::string bytes;  // empty = just close / detach bookkeeping
+    std::string bytes;  // the response bytes the task did not send itself
     bool thenClose;
   };
   std::vector<Completion> completions_;
+  bool wakeOnCompletion_ = true;  // guarded by completionsMu_
+  std::size_t heldConns_ = 0;     // loop-thread state
 
   std::mutex searchThreadsMu_;
   std::vector<std::thread> searchThreads_;

@@ -12,13 +12,24 @@
 //     draining → 503), routing errors, /healthz and /metrics;
 //   * array responses report only their own engine stats;
 //   * a verify/gen-seeded fuzz pass round-tripping random evaluate payloads
-//     through the server against the in-process engine, byte for byte.
+//     through the server against the in-process engine, byte for byte;
+//   * the task that sends its own response: a client that hangs up while its
+//     task is in flight never has its answer land on the next connection,
+//     a response larger than the socket takes is finished by the loop
+//     before a pipelined follow-up is answered, and a pipelined request read
+//     while the task before it runs is answered as soon as that task is done.
 //
 // Work is held in flight by injected evaluation latency (a FaultInjector
 // that slows kEvaluate and never fails it), not by timing races.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,6 +183,74 @@ std::string arrayOf(const std::vector<Pair>& pairs, std::size_t count) {
     array += pairs[i % pairs.size()].payload;
   }
   return array + "]";
+}
+
+/// A blocking TCP socket for tests that drive a connection below the
+/// Client (hang up mid-request, pipeline, read late). Reads time out after
+/// 30 s, so a server that never answers fails the test instead of hanging
+/// it; `rcvbuf` > 0 shrinks the receive buffer.
+int rawSocket(int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  return fd;
+}
+
+void connectLoopback(int fd, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+}
+
+void sendRaw(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+std::string readToEof(int fd) {
+  std::string bytes;
+  char buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return bytes;
+    bytes.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+std::string evaluateRequest(const std::string& body, bool close) {
+  return std::string("POST /v1/evaluate HTTP/1.1\r\nHost: test\r\n") +
+         (close ? "Connection: close\r\n" : "") +
+         "Content-Type: application/json\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+/// Splits a byte stream into the HTTP responses it holds; a trailing
+/// partial or malformed response fails the test.
+std::vector<HttpClientResponse> parseResponses(std::string_view bytes) {
+  std::vector<HttpClientResponse> responses;
+  HttpResponseParser parser;
+  while (!bytes.empty()) {
+    bytes.remove_prefix(parser.feed(bytes));
+    if (parser.status() != ParseStatus::kComplete) {
+      ADD_FAILURE() << "trailing bytes are not a whole response";
+      break;
+    }
+    responses.push_back(std::move(parser.response()));
+    parser.reset();
+  }
+  return responses;
 }
 
 // ---- Burst: 64 connections, bit-identical to serial ------------------------
@@ -586,6 +665,147 @@ TEST(ServiceLoopback, GenSeededPayloadsRoundTripByteExact) {
           << "case " << index;
     }
   }
+  server.shutdown();
+}
+
+// ---- Responses sent by the evaluate task ----------------------------------
+
+TEST(ServiceLoopback, HungUpClientsAnswerNeverReachesTheNextConnection) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 2;
+  Server server(options);
+  // Holds A's task in flight across A's hang-up and B's connect.
+  server.engine().setFaultInjector(
+      evaluateLatency(std::chrono::milliseconds(300)));
+  server.start();
+
+  const int a = rawSocket();
+  connectLoopback(a, server.port());
+  sendRaw(a, evaluateRequest(pairs[0].payload, /*close=*/false));
+  while (server.metrics().inFlightSlots.load() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // B's socket exists before A hangs up, and A's stays allocated (shut
+  // down, not closed): the next fd number this process hands out is the
+  // one the server accepted A on, if the server has closed it.
+  const int b = rawSocket();
+  ::shutdown(a, SHUT_RDWR);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  connectLoopback(b, server.port());
+  sendRaw(b, evaluateRequest(pairs[1].payload, /*close=*/true));
+  const std::string stream = readToEof(b);
+  ::close(a);
+  ::close(b);
+
+  const std::vector<HttpClientResponse> responses = parseResponses(stream);
+  ASSERT_EQ(responses.size(), 1u) << stream;
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[0].body, pairs[1].expectedBody);
+  EXPECT_EQ(stream.find(pairs[0].expectedBody), std::string::npos);
+  server.shutdown();
+}
+
+TEST(ServiceLoopback, ResponseLargerThanTheSocketThenPipelinedFollowUp) {
+  const std::vector<Pair> pairs = makePairs();
+  // Loopback grows a socket's send buffer up to net.ipv4.tcp_wmem's maximum
+  // (4 MiB by default), so a response past 6 MiB stops the task's send
+  // short (EAGAIN) and the loop writes the rest once the client reads.
+  constexpr std::size_t kResponseBytes = 6 * 1024 * 1024;
+  std::size_t count = 0;
+  std::size_t expectedBytes = 0;
+  while (expectedBytes < kResponseBytes) {
+    expectedBytes += pairs[count % pairs.size()].expectedBody.size();
+    ++count;
+  }
+  ServerOptions options;
+  options.engineThreads = 2;
+  options.maxQueueSlots = count;
+  options.limits.maxBodyBytes = 32 * 1024 * 1024;
+  // The array fills every slot for as long as it is in flight, which a
+  // slow (sanitizer) build makes long enough to brown out the follow-up.
+  options.brownoutEnabled = false;
+  Server server(options);
+  server.start();
+
+  const int fd = rawSocket(/*rcvbuf=*/16 * 1024);
+  connectLoopback(fd, server.port());
+  sendRaw(fd, evaluateRequest(arrayOf(pairs, count), /*close=*/false) +
+                  evaluateRequest(pairs[2].payload, /*close=*/true));
+  // Read only once the array is answered and the server has filled the
+  // socket.
+  while (server.metrics().evaluate.requests.load() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string stream = readToEof(fd);
+  ::close(fd);
+
+  const std::vector<HttpClientResponse> responses = parseResponses(stream);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_GE(responses[0].body.size(), kResponseBytes);
+  const Json body = Json::parse(responses[0].body);
+  const config::JsonArray& results = body.at("results").asArray();
+  ASSERT_EQ(results.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(results[i].dump(), pairs[i % pairs.size()].expectedBody)
+        << "result " << i;
+  }
+  EXPECT_EQ(responses[1].status, 200);
+  EXPECT_EQ(responses[1].body, pairs[2].expectedBody);
+  server.shutdown();
+}
+
+TEST(ServiceLoopback, PipelinedRequestIsNotHeldBehindAWholeSentAnswer) {
+  const std::vector<Pair> pairs = makePairs();
+  ServerOptions options;
+  options.engineThreads = 2;
+  Server server(options);
+  // Every first evaluation of a pair takes kLatency, so the second request
+  // of each pipelined two is read while the first's task holds the
+  // connection, and that task sends its whole answer itself.
+  constexpr auto kLatency = std::chrono::milliseconds(20);
+  server.engine().setFaultInjector(evaluateLatency(kLatency));
+  server.start();
+
+  const int fd = rawSocket();
+  connectLoopback(fd, server.port());
+  std::string buffered;
+  const auto nextResponse = [&] {
+    HttpResponseParser parser;
+    for (;;) {
+      buffered.erase(0, parser.feed(buffered));
+      if (parser.status() != ParseStatus::kNeedMore) break;
+      char buf[64 * 1024];
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) break;
+      buffered.append(buf, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(parser.status(), ParseStatus::kComplete);
+    return std::move(parser.response());
+  };
+  // The gap between the two answers is the second's own evaluation. A loop
+  // that slept through the first's completion would add up to its 100 ms
+  // epoll timeout to every gap.
+  std::vector<double> gapsMs;
+  for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
+    sendRaw(fd, evaluateRequest(pairs[i].payload, /*close=*/false) +
+                    evaluateRequest(pairs[i + 1].payload, /*close=*/false));
+    const HttpClientResponse first = nextResponse();
+    const auto firstAt = std::chrono::steady_clock::now();
+    const HttpClientResponse second = nextResponse();
+    gapsMs.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - firstAt)
+                         .count());
+    EXPECT_EQ(first.status, 200);
+    EXPECT_EQ(first.body, pairs[i].expectedBody);
+    EXPECT_EQ(second.status, 200);
+    EXPECT_EQ(second.body, pairs[i + 1].expectedBody);
+  }
+  ::close(fd);
+  std::sort(gapsMs.begin(), gapsMs.end());
+  EXPECT_LT(gapsMs[gapsMs.size() / 2], 3.0 * kLatency.count());
   server.shutdown();
 }
 
