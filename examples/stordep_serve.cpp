@@ -21,27 +21,11 @@
 //   --no-brownout      disable tiered load shedding under overload
 //   --brownout-enter R admitted slots / max-queue that counts as a hot tick
 //   --brownout-exit R  slot pressure at or below which the server recovers
-//
-// Cluster mode (see DESIGN.md "Cluster layer" and README "Running a
-// cluster"): give the node an id and point it at any running member —
-// membership gossips out from the seeds, every member answers the
-// evaluations it receives itself, and a {"cluster": true} /v1/search fans
-// the sweep out over every live member.
-//   --node-id ID         join/form a cluster as member ID (enables the layer)
-//   --cluster-seed H:P   a peer to bootstrap from (repeatable)
-//   --advertise-host A   address peers should dial (default 127.0.0.1)
-//   --advertise-port N   port peers should dial (default: the bound port)
-//   --heartbeat-ms N     gossip cadence (default 500)
-//   --suspect-ms N       silence before a peer turns Suspect and is left
-//                        out of distributed sweeps (default 2000)
-//   --evict-ms N         silence before a Suspect is evicted (default 6000)
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 
-#include "cluster/node.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -88,7 +72,6 @@ int main(int argc, char** argv) {
   using namespace stordep::service;
 
   ServerOptions options;
-  stordep::cluster::ClusterNodeOptions nodeOptions;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--host") {
@@ -118,59 +101,11 @@ int main(int argc, char** argv) {
       options.brownout.enterPressure = parseDoubleArg(argc, argv, i, arg);
     } else if (arg == "--brownout-exit") {
       options.brownout.exitPressure = parseDoubleArg(argc, argv, i, arg);
-    } else if (arg == "--node-id") {
-      if (i + 1 >= argc) {
-        std::cerr << "stordep_serve: --node-id needs a value\n";
-        return 2;
-      }
-      nodeOptions.nodeId = argv[++i];
-    } else if (arg == "--cluster-seed") {
-      if (i + 1 >= argc) {
-        std::cerr << "stordep_serve: --cluster-seed needs HOST:PORT\n";
-        return 2;
-      }
-      const std::string seed = argv[++i];
-      const auto colon = seed.rfind(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 >= seed.size()) {
-        std::cerr << "stordep_serve: bad --cluster-seed (want HOST:PORT): "
-                  << seed << "\n";
-        return 2;
-      }
-      try {
-        nodeOptions.seeds.emplace_back(seed.substr(0, colon),
-                                       std::stoi(seed.substr(colon + 1)));
-      } catch (const std::exception&) {
-        std::cerr << "stordep_serve: bad --cluster-seed port in " << seed
-                  << "\n";
-        return 2;
-      }
-    } else if (arg == "--advertise-host") {
-      if (i + 1 >= argc) {
-        std::cerr << "stordep_serve: --advertise-host needs a value\n";
-        return 2;
-      }
-      nodeOptions.advertiseHost = argv[++i];
-    } else if (arg == "--advertise-port") {
-      nodeOptions.advertisePort =
-          static_cast<int>(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--heartbeat-ms") {
-      nodeOptions.membership.heartbeatInterval =
-          std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--suspect-ms") {
-      nodeOptions.membership.suspectAfter =
-          std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
-    } else if (arg == "--evict-ms") {
-      nodeOptions.membership.evictAfter =
-          std::chrono::milliseconds(parseIntArg(argc, argv, i, arg));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: stordep_serve [--host ADDR] [--port N]"
                    " [--threads N] [--max-queue N]"
                    " [--deadline-ms N] [--drain-ms N] [--no-brownout]"
-                   " [--brownout-enter R] [--brownout-exit R]"
-                   " [--node-id ID] [--cluster-seed HOST:PORT]..."
-                   " [--advertise-host A] [--advertise-port N]"
-                   " [--heartbeat-ms N] [--suspect-ms N] [--evict-ms N]\n";
+                   " [--brownout-enter R] [--brownout-exit R]\n";
       return 0;
     } else {
       std::cerr << "stordep_serve: unknown option " << arg << "\n";
@@ -178,17 +113,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Declared server-then-node: the node's destructor shuts the server down
-  // before the hooks it implements go away.
   stordep::service::Server server(options);
-  std::unique_ptr<stordep::cluster::ClusterNode> node;
   try {
     server.start();
-    if (!nodeOptions.nodeId.empty()) {
-      node = std::make_unique<stordep::cluster::ClusterNode>(server,
-                                                             nodeOptions);
-      node->start();
-    }
   } catch (const std::exception& e) {
     std::cerr << "stordep_serve: " << e.what() << "\n";
     return 1;
@@ -202,10 +129,6 @@ int main(int argc, char** argv) {
   std::cout << "stordep_serve: listening on " << options.host << ":"
             << server.port() << " (" << server.engine().threads()
             << " engine threads)" << std::endl;
-  if (node != nullptr) {
-    std::cout << "stordep_serve: cluster node " << node->nodeId() << " ("
-              << nodeOptions.seeds.size() << " seeds)" << std::endl;
-  }
 
   server.wait();  // parks until a signal triggers the drain
 

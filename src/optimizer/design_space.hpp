@@ -93,7 +93,7 @@ class DesignSpaceCursor {
   /// Restricts enumeration to grid indices [begin, end) in the all-points
   /// numbering enumerated() counts (valid and invalid alike). Cursors over
   /// a partition of [0, gridCardinality()) concatenate to exactly the full
-  /// enumeration — the contract the cluster sweep partitioner relies on.
+  /// enumeration, so range sweeps merged with rankEvaluated equal one sweep.
   /// Must be called before the first next(), which seeks straight to
   /// `begin`: a few divisions and one pass over each choice list, not a walk
   /// over the `begin` points before it (that walk cost a 64-range sweep of

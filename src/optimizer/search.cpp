@@ -351,7 +351,6 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
   // Marks the slots holding a finished evaluation (vector<char>: written
   // concurrently per index).
   std::vector<char> completed;
-  std::vector<EvaluatedCandidate> waveFinished;
 
   bool stopped = false;
   CandidateSpec spec;
@@ -408,19 +407,14 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
         },
         token);
 
-    waveFinished.clear();
     for (std::size_t i = 0; i < chunk.size(); ++i) {
       if (completed[i] != 0) {
-        waveFinished.push_back(std::move(evaluated[i]));
+        finished.push_back(std::move(evaluated[i]));
       } else {
         stopped = true;  // cancellation left this slot un-evaluated
       }
     }
     if (!ranAll) stopped = true;
-    if (options.onCandidates) options.onCandidates(waveFinished);
-    for (EvaluatedCandidate& c : waveFinished) {
-      finished.push_back(std::move(c));
-    }
     if (options.onProgress) options.onProgress(finished.size());
     if (options.waveDelay.count() > 0 && !stopped) {
       std::this_thread::sleep_for(options.waveDelay);

@@ -131,16 +131,9 @@ struct SearchOptions {
   /// streams one chunk per callback). Must not throw; keep it cheap — it
   /// runs between waves, on the critical path.
   std::function<void(std::size_t done)> onProgress;
-  /// Called on the sweeping thread after every wave with the candidates
-  /// that wave finished (journal-restored ones included), before they are
-  /// merged into the final ranking. The cluster sweep workers stream these
-  /// back to the coordinator as NDJSON. Same contract as onProgress: cheap,
-  /// non-throwing.
-  std::function<void(const std::vector<EvaluatedCandidate>& wave)>
-      onCandidates;
-  /// Sleep inserted between waves (0 = none). Exists for tests and smoke
-  /// scripts that must kill a node or process *mid*-sweep deterministically
-  /// — pacing the waves keeps the sweep alive long enough to die at a
+  /// Sleep inserted between waves (0 = none). Exists for tests that must
+  /// kill a process or drop a client *mid*-sweep deterministically —
+  /// pacing the waves keeps the sweep alive long enough to die at a
   /// controlled point.
   std::chrono::milliseconds waveDelay{0};
   /// Ranking objective. kWorstCase leaves every result bit-identical to the
@@ -216,9 +209,9 @@ struct SearchOptions {
 
 /// Ranks already-evaluated candidates with the deterministic comparison
 /// every search path shares (totalCost, then label) and fills the count
-/// fields. The cluster sweep merges per-range worker results through this,
-/// which is why an N-node sweep ranks bit-identically to one node: the
-/// comparison is a total order over the union of the ranges. wallSeconds /
+/// fields. Sweeps of restricted grid ranges merge through this and rank
+/// bit-identically to one sweep of the whole grid: the comparison is a
+/// total order over the union of the ranges. wallSeconds /
 /// candidatesPerSec / skipped / cancelled are left for the caller.
 [[nodiscard]] SearchResult rankEvaluated(
     std::vector<EvaluatedCandidate> evaluated);

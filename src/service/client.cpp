@@ -1,10 +1,8 @@
 #include "service/client.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,12 +31,7 @@ void applyTimeout(int fd, std::chrono::milliseconds timeout) {
 
 Client::Client(const std::string& host, std::uint16_t port,
                std::chrono::milliseconds timeout)
-    : Client(host, port, ClientOptions{timeout, std::chrono::milliseconds{0}}) {
-}
-
-Client::Client(const std::string& host, std::uint16_t port,
-               ClientOptions options)
-    : host_(host), port_(port), options_(options) {
+    : host_(host), port_(port), timeout_(timeout) {
   connect();
 }
 
@@ -47,7 +40,7 @@ Client::~Client() { disconnect(); }
 Client::Client(Client&& other) noexcept
     : host_(std::move(other.host_)),
       port_(other.port_),
-      options_(other.options_),
+      timeout_(other.timeout_),
       fd_(other.fd_) {
   other.fd_ = -1;
 }
@@ -57,7 +50,7 @@ Client& Client::operator=(Client&& other) noexcept {
     disconnect();
     host_ = std::move(other.host_);
     port_ = other.port_;
-    options_ = other.options_;
+    timeout_ = other.timeout_;
     fd_ = other.fd_;
     other.fd_ = -1;
   }
@@ -87,49 +80,17 @@ void Client::connect() {
     throw TransportError(TransportError::Stage::kConnect, false, false,
                          "bad address: " + host_);
   }
-  const auto failConnect = [&](int err, bool timedOut,
-                               const std::string& reason) {
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int err = errno;
     close(fd);
     throw TransportError(TransportError::Stage::kConnect, false,
-                         timedOut || errnoIsTimeout(err),
+                         errnoIsTimeout(err),
                          "connect to " + host_ + ":" + std::to_string(port_) +
-                             " failed: " + reason);
-  };
-  if (options_.connectTimeout.count() > 0) {
-    // Bounded establishment: non-blocking connect, poll for writability,
-    // then read the deferred result with SO_ERROR. A black-holed peer (SYN
-    // dropped, no RST) fails here after connectTimeout instead of the
-    // kernel's ~2-minute retry schedule.
-    const int flags = fcntl(fd, F_GETFL, 0);
-    fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      if (errno != EINPROGRESS) failConnect(errno, false, std::strerror(errno));
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      int pn;
-      do {
-        pn = poll(&pfd, 1, static_cast<int>(options_.connectTimeout.count()));
-      } while (pn < 0 && errno == EINTR);
-      if (pn == 0) {
-        failConnect(0, true,
-                    "timed out after " +
-                        std::to_string(options_.connectTimeout.count()) + "ms");
-      }
-      if (pn < 0) failConnect(errno, false, std::strerror(errno));
-      int soErr = 0;
-      socklen_t len = sizeof(soErr);
-      getsockopt(fd, SOL_SOCKET, SO_ERROR, &soErr, &len);
-      if (soErr != 0) failConnect(soErr, false, std::strerror(soErr));
-    }
-    fcntl(fd, F_SETFL, flags);  // back to blocking for request I/O
-  } else if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-             0) {
-    failConnect(errno, false, std::strerror(errno));
+                             " failed: " + std::strerror(err));
   }
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  applyTimeout(fd, options_.timeout);
+  applyTimeout(fd, timeout_);
   fd_ = fd;
   exchanged_ = false;
 }

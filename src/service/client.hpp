@@ -109,26 +109,13 @@ class TransportError : public std::runtime_error {
   bool timedOut_;
 };
 
-/// Construction knobs.
-struct ClientOptions {
-  /// Receive/send timeout on the established connection (0 = none).
-  std::chrono::milliseconds timeout{30'000};
-  /// Bound on TCP connection establishment, enforced with a non-blocking
-  /// connect + poll. 0 = plain blocking connect, which on Linux means the
-  /// kernel's SYN-retry schedule (~2 minutes) against a black-holed peer —
-  /// cluster gossip and sweep workers always set this so a dead member
-  /// fails fast (a missed heartbeat, a range re-run locally) instead of
-  /// stalling the caller.
-  std::chrono::milliseconds connectTimeout{0};
-};
-
 class Client {
  public:
   /// Connects immediately; throws TransportError (stage kConnect) when the
-  /// server is unreachable.
+  /// server is unreachable. `timeout` bounds each send and receive on the
+  /// established connection (0 = none).
   Client(const std::string& host, std::uint16_t port,
          std::chrono::milliseconds timeout = std::chrono::milliseconds{30'000});
-  Client(const std::string& host, std::uint16_t port, ClientOptions options);
   ~Client();
 
   Client(const Client&) = delete;
@@ -181,7 +168,7 @@ class Client {
 
   std::string host_;
   std::uint16_t port_ = 0;
-  ClientOptions options_;
+  std::chrono::milliseconds timeout_{0};
   int fd_ = -1;
   /// Whether a full exchange has completed on the current connection. Only
   /// then is a dead connection the stale-keep-alive race; the constructor's

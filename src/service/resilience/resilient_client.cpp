@@ -64,8 +64,7 @@ CircuitBreaker::State ResilientClient::breakerState(
 
 Client& ResilientClient::connection() {
   if (!client_) {
-    client_.emplace(host_, port_,
-                    ClientOptions{options_.timeout, options_.connectTimeout});
+    client_.emplace(host_, port_, options_.timeout);
   }
   return *client_;
 }
@@ -111,11 +110,11 @@ HttpClientResponse ResilientClient::hedgedAttempt(const std::string& method,
   auto race = std::make_shared<Race>();
   const std::string host = host_;
   const std::uint16_t port = port_;
-  const ClientOptions clientOptions{options_.timeout, options_.connectTimeout};
-  const auto runner = [race, host, port, clientOptions, method, target, body,
+  const std::chrono::milliseconds timeout = options_.timeout;
+  const auto runner = [race, host, port, timeout, method, target, body,
                        headers, idempotent](bool isHedge) {
     try {
-      Client client(host, port, clientOptions);
+      Client client(host, port, timeout);
       HttpClientResponse response =
           client.request(method, target, body, headers, idempotent);
       std::lock_guard<std::mutex> lock(race->mu);

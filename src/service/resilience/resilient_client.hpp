@@ -66,10 +66,6 @@ struct ResilientClientOptions {
   double hedgeQuantile = 0.95;
   /// Socket-level send/recv timeout per attempt.
   std::chrono::milliseconds timeout{30'000};
-  /// Bound on TCP connection establishment per attempt (0 = blocking
-  /// connect; see ClientOptions::connectTimeout). Cluster sweeps set this
-  /// so a range on a black-holed member fails fast into a local re-run.
-  std::chrono::milliseconds connectTimeout{0};
   std::uint64_t seed = 1;
 };
 

@@ -17,7 +17,6 @@
 #include "casestudy/casestudy.hpp"
 #include "config/design_io.hpp"
 #include "engine/fingerprint.hpp"
-#include "optimizer/checkpoint.hpp"
 #include "optimizer/search.hpp"
 #include "service/json_api.hpp"
 
@@ -63,9 +62,8 @@ bool writeAll(int fd, std::string_view data) {
   return out;
 }
 
-/// The final NDJSON line of a /v1/search stream. Shared by the single-node
-/// and cluster-coordinator paths so their output is structurally identical
-/// (wallSeconds / candidatesPerSec are the only run-varying fields).
+/// The final NDJSON line of a /v1/search stream (wallSeconds /
+/// candidatesPerSec are the only run-varying fields).
 [[nodiscard]] Json searchResultLine(const optimizer::SearchResult& result,
                                     std::size_t top) {
   JsonArray ranked;
@@ -469,19 +467,16 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
   const std::string_view path = request.path();
   const bool keepAlive = request.keepAlive() && !draining_;
 
-  ClusterHooks* cluster = cluster_.load(std::memory_order_acquire);
-
   if (path == "/healthz") {
     HttpResponse response;
     const int tier = options_.brownoutEnabled ? brownout_.tier() : 0;
     Json body{JsonObject{}};
     // "degraded" still answers 200: the process is alive and serving what
-    // it can; a cluster failure detector reads the tier, not the status
-    // code, to steer load away.
+    // it can; a load balancer reads the tier, not the status code, to steer
+    // load away.
     body.set("status", Json(draining_ ? "draining"
                                       : (tier > 0 ? "degraded" : "ok")));
     body.set("brownoutTier", Json(static_cast<double>(tier)));
-    if (cluster != nullptr) body.set("cluster", cluster->healthJson());
     response.status = draining_ ? 503 : 200;
     response.headers.emplace_back("Content-Type", "application/json");
     response.body = body.dump();
@@ -493,41 +488,10 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
   if (path == "/metrics") {
     HttpResponse response;
     response.headers.emplace_back("Content-Type", "application/json");
-    Json snapshot = metrics_.snapshot(*engine_);
-    if (cluster != nullptr) snapshot.set("cluster", cluster->healthJson());
-    response.body = snapshot.pretty();
+    response.body = metrics_.snapshot(*engine_).pretty();
     sendResponse(conn, response, keepAlive);
     metrics_.metricsEndpoint.record(200,
                                     std::chrono::steady_clock::now() - start);
-    return;
-  }
-  if (path == "/v1/cluster/ping" || path == "/v1/cluster/members") {
-    HttpResponse response;
-    response.headers.emplace_back("Content-Type", "application/json");
-    if (cluster == nullptr) {
-      metrics_.other.record(404, std::chrono::nanoseconds{0});
-      sendError(conn, 404, "not-a-cluster-node",
-                "this server has no cluster layer attached");
-      return;
-    }
-    if (path == "/v1/cluster/ping") {
-      if (request.method != "POST") {
-        metrics_.other.record(405, std::chrono::nanoseconds{0});
-        sendError(conn, 405, "method-not-allowed", "use POST");
-        return;
-      }
-      try {
-        response.body = cluster->handlePing(Json::parse(request.body)).dump();
-      } catch (const std::exception& e) {
-        metrics_.other.record(400, std::chrono::nanoseconds{0});
-        sendError(conn, 400, "invalid-request", e.what());
-        return;
-      }
-    } else {
-      response.body = cluster->membersJson().dump();
-    }
-    sendResponse(conn, response, keepAlive);
-    metrics_.other.record(200, std::chrono::steady_clock::now() - start);
     return;
   }
   if (path == "/v1/evaluate" || path == "/v1/search") {
@@ -539,8 +503,7 @@ void Server::dispatch(Connection& conn, HttpRequest request) {
     if (draining_) {
       metrics_.rejectedDraining.fetch_add(1, std::memory_order_relaxed);
       metrics_.other.record(503, std::chrono::nanoseconds{0});
-      sendError(conn, 503, "draining", "server is shutting down",
-                /*retryAfter=*/true);
+      sendError(conn, 503, "draining", "server is shutting down");
       return;
     }
     if (path == "/v1/evaluate") {
@@ -677,7 +640,7 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
     metrics_.shedCold.fetch_add(1, std::memory_order_relaxed);
     metrics_.evaluate.record(503, std::chrono::steady_clock::now() - start);
     sendError(conn, 503, "browned-out",
-              "server is in full brown-out (tier 3)", /*retryAfter=*/true);
+              "server is in full brown-out (tier 3)", request.keepAlive());
     return;
   }
   if (tier >= 2) {
@@ -701,7 +664,7 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
       sendError(conn, 503, "browned-out",
                 "cache-hits-only under brown-out (tier 2); request needs a "
                 "cold evaluation",
-                /*retryAfter=*/true);
+                request.keepAlive());
       return;
     }
   }
@@ -714,7 +677,7 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
   metrics_.rejectedQueueFull.fetch_add(1, std::memory_order_relaxed);
   metrics_.evaluate.record(429, std::chrono::steady_clock::now() - start);
   sendError(conn, 429, "queue-full", "evaluation queue is full",
-            /*retryAfter=*/true);
+            request.keepAlive());
 }
 
 Server::Admission Server::submitEvaluate(
@@ -836,14 +799,14 @@ void Server::handleSearch(Connection& conn, const HttpRequest& request) {
     metrics_.search.record(503, std::chrono::nanoseconds{0});
     sendError(conn, 503, "browned-out",
               "searches are shed under brown-out (tier >= 2)",
-              /*retryAfter=*/true);
+              request.keepAlive());
     return;
   }
   if (metrics_.activeSearches.load(std::memory_order_relaxed) >=
       options_.maxConcurrentSearches) {
     metrics_.search.record(503, std::chrono::nanoseconds{0});
-    sendError(conn, 503, "search-limit",
-              "too many concurrent searches", /*retryAfter=*/true);
+    sendError(conn, 503, "search-limit", "too many concurrent searches",
+              request.keepAlive());
     return;
   }
   metrics_.activeSearches.fetch_add(1, std::memory_order_relaxed);
@@ -858,14 +821,12 @@ void Server::handleSearch(Connection& conn, const HttpRequest& request) {
   conns_.erase(connId);
 
   std::lock_guard<std::mutex> lock(searchThreadsMu_);
-  searchThreads_.emplace_back(
-      [this, fd, connId, body = std::move(body)]() mutable {
-        runSearch(fd, connId, std::move(body));
-      });
+  searchThreads_.emplace_back([this, fd, body = std::move(body)]() mutable {
+    runSearch(fd, std::move(body));
+  });
 }
 
-void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
-  (void)connId;
+void Server::runSearch(int fd, std::string bodyText) {
   const auto start = std::chrono::steady_clock::now();
   setBlocking(fd);
 
@@ -883,14 +844,6 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
   optimizer::SearchOptions searchOptions;
   std::size_t top = 10;
   std::chrono::milliseconds deadline{0};
-  // Cluster-coordinator mode ("cluster": true) and range-worker mode
-  // ("range": {begin, end}) — the two halves of a distributed sweep.
-  bool clusterMode = false;
-  ClusterSearchParams clusterParams;
-  bool workerMode = false;
-  std::uint64_t rangeBegin = 0;
-  std::uint64_t rangeEnd = 0;
-  bool emitCandidates = false;
   try {
     const Json body = bodyText.empty() ? Json{JsonObject{}}
                                        : Json::parse(bodyText);
@@ -899,11 +852,9 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
     }
     if (const Json* rto = body.find("rtoHours")) {
       business.rto = hours(rto->asNumber());
-      clusterParams.rtoHoursLiteral = rto->dump();
     }
     if (const Json* rpo = body.find("rpoHours")) {
       business.rpo = hours(rpo->asNumber());
-      clusterParams.rpoHoursLiteral = rpo->dump();
     }
     if (const Json* chunk = body.find("streamChunk")) {
       searchOptions.streamChunk =
@@ -916,31 +867,6 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
       deadline = std::chrono::milliseconds(
           static_cast<long long>(deadlineMs->asNumber()));
     }
-    if (const Json* clusterFlag = body.find("cluster")) {
-      clusterMode = clusterFlag->asBool();
-      if (clusterMode && cluster_.load(std::memory_order_acquire) == nullptr) {
-        throw std::runtime_error(
-            "\"cluster\": true on a server with no cluster layer attached");
-      }
-    }
-    if (const Json* dir = body.find("checkpointDir")) {
-      clusterParams.checkpointDir = dir->asString();
-    }
-    if (const Json* range = body.find("range")) {
-      if (!range->isObject() || range->find("begin") == nullptr ||
-          range->find("end") == nullptr) {
-        throw std::runtime_error(
-            "\"range\" must be an object with begin and end");
-      }
-      workerMode = true;
-      rangeBegin = static_cast<std::uint64_t>(
-          std::max(0.0, range->at("begin").asNumber()));
-      rangeEnd = static_cast<std::uint64_t>(
-          std::max(0.0, range->at("end").asNumber()));
-    }
-    if (const Json* emit = body.find("emitCandidates")) {
-      emitCandidates = emit->asBool();
-    }
     if (const Json* path = body.find("checkpointPath")) {
       searchOptions.checkpointPath = path->asString();
     }
@@ -950,9 +876,6 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
       searchOptions.waveDelay = std::chrono::milliseconds(std::min(
           1000LL, std::max(0LL,
                            static_cast<long long>(delayMs->asNumber()))));
-    }
-    if (clusterMode && workerMode) {
-      throw std::runtime_error("\"cluster\" and \"range\" are exclusive");
     }
   } catch (const std::exception& e) {
     status = 400;
@@ -980,7 +903,6 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
   searchOptions.token = token;
 
   optimizer::DesignSpaceCursor cursor;
-  if (workerMode) cursor.restrictTo(rangeBegin, rangeEnd);
   const std::uint64_t total =
       optimizer::gridCardinality(optimizer::DesignSpaceOptions{});
 
@@ -988,9 +910,6 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
   headers.emplace_back("Content-Type", "application/x-ndjson");
   bool alive = writeAll(fd, serializeChunkedHead(200, headers));
   bool peerDisconnected = false;
-  // In cluster mode progress (and in worker mode candidate lines) can be
-  // written from several threads; every socket write below holds streamMu.
-  std::mutex streamMu;
   const auto onPeerGone = [&] {
     // Broken pipe: the client went away mid-stream. Cancel this search so
     // it stops at its next wave instead of burning the rest of the sweep,
@@ -1002,9 +921,8 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
     }
   };
   if (!alive) onPeerGone();
-  const auto reportProgress = [&](std::size_t done) {
+  searchOptions.onProgress = [&](std::size_t done) {
     if (drainToken.cancelled()) localStop.cancel();
-    std::lock_guard<std::mutex> lock(streamMu);
     if (!alive) return;
     Json progress{JsonObject{}};
     progress.set("done", Json(static_cast<double>(done)));
@@ -1014,41 +932,10 @@ void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
     alive = writeAll(fd, encodeChunk(line.dump() + "\n"));
     if (!alive) onPeerGone();
   };
-  searchOptions.onProgress = reportProgress;
-  if (emitCandidates) {
-    // Worker mode streams every finished candidate (ranked and rejected
-    // alike, exactly as the checkpoint journal serializes them) so the
-    // coordinator's merged counts match a single-node sweep.
-    searchOptions.onCandidates =
-        [&](const std::vector<optimizer::EvaluatedCandidate>& wave) {
-          std::lock_guard<std::mutex> lock(streamMu);
-          if (!alive || wave.empty()) return;
-          std::string lines;
-          for (const optimizer::EvaluatedCandidate& candidate : wave) {
-            Json line{JsonObject{}};
-            line.set("candidate",
-                     optimizer::evaluatedCandidateToJson(candidate));
-            lines += line.dump();
-            lines += '\n';
-          }
-          alive = writeAll(fd, encodeChunk(lines));
-          if (!alive) onPeerGone();
-        };
-  }
 
-  optimizer::SearchResult result;
-  if (clusterMode) {
-    clusterParams.search = searchOptions;
-    clusterParams.search.onProgress = nullptr;
-    clusterParams.search.onCandidates = nullptr;
-    clusterParams.business = business;
-    result = cluster_.load(std::memory_order_acquire)
-                 ->clusterSearch(clusterParams, reportProgress, token);
-  } else {
-    result = optimizer::searchDesignSpaceStreaming(
-        cursor, casestudy::celloWorkload(), business,
-        optimizer::caseStudyScenarios(), searchOptions);
-  }
+  const optimizer::SearchResult result = optimizer::searchDesignSpaceStreaming(
+      cursor, casestudy::celloWorkload(), business,
+      optimizer::caseStudyScenarios(), searchOptions);
 
   if (alive) {
     const Json line = searchResultLine(result, top);
@@ -1068,19 +955,18 @@ void Server::sendResponse(Connection& conn, const HttpResponse& response,
 }
 
 void Server::sendError(Connection& conn, int status, const std::string& code,
-                       const std::string& message, bool retryAfter) {
+                       const std::string& message, bool keepAlive) {
   HttpResponse response;
   response.status = status;
   response.headers.emplace_back("Content-Type", "application/json");
-  if (retryAfter) {
+  const bool retry = status == 429 || status == 503;
+  if (retry) {
     response.headers.emplace_back("Retry-After",
                                   std::to_string(options_.retryAfterSeconds));
   }
   response.body = serviceErrorBody(code, message).dump();
-  // Admission rejections keep the connection: the client is told to retry.
-  const bool keepAlive = (status == 429 || status == 503) && !draining_ &&
-                         !conn.closing;
-  sendResponse(conn, response, keepAlive);
+  sendResponse(conn, response,
+               retry && keepAlive && !draining_ && !conn.closing);
 }
 
 void Server::handleWritable(Connection& conn) {

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "engine/batch.hpp"
-#include "service/cluster_hooks.hpp"
 #include "service/http.hpp"
 #include "service/metrics.hpp"
 #include "service/resilience/brownout.hpp"
@@ -153,18 +152,6 @@ class Server {
         metrics_.brownoutTier.load(std::memory_order_relaxed));
   }
 
-  /// Attaches (or detaches, with nullptr) the cluster layer. The pointer is
-  /// read per-request on the loop thread, so attaching while running is
-  /// safe; DETACHING is only safe once the loop has exited (in practice:
-  /// cluster::ClusterNode shuts the server down before it destructs, which
-  /// is why a Server must be declared before its ClusterNode).
-  void attachCluster(ClusterHooks* cluster) noexcept {
-    cluster_.store(cluster, std::memory_order_release);
-  }
-  [[nodiscard]] ClusterHooks* cluster() const noexcept {
-    return cluster_.load(std::memory_order_acquire);
-  }
-
  private:
   struct Connection;
   struct EvaluateJob;
@@ -185,11 +172,15 @@ class Server {
   /// Pool task: evaluates, encodes and answers one admitted request.
   void runEvaluate(const EvaluateJob& job);
   void handleSearch(Connection& conn, const HttpRequest& request);
-  void runSearch(int fd, std::uint64_t connId, std::string bodyText);
+  void runSearch(int fd, std::string bodyText);
   void sendResponse(Connection& conn, const HttpResponse& response,
                     bool keepAlive);
+  /// Answers `status` with a JSON error document. 429 and 503 reject
+  /// admission: they carry Retry-After and keep the connection for the
+  /// retry when the request asked for keep-alive (`keepAlive`) and the
+  /// server is not draining. Every other error closes the connection.
   void sendError(Connection& conn, int status, const std::string& code,
-                 const std::string& message, bool retryAfter = false);
+                 const std::string& message, bool keepAlive = false);
   void queueCompletion(std::uint64_t connId, std::string bytes,
                        bool thenClose);
   void drainCompletions();
@@ -213,7 +204,6 @@ class Server {
   /// admission against shutdown() releasing the pool.
   std::mutex poolMu_;
   std::unique_ptr<engine::ThreadPool> pool_;
-  std::atomic<ClusterHooks*> cluster_{nullptr};
 
   int listenFd_ = -1;
   int epollFd_ = -1;

@@ -788,26 +788,20 @@ TEST(SweepWaves, VectorSweepFiresEachCallbackOncePerWave) {
   options.eng = &engine;
   options.checkpointPath = path;
   options.streamChunk = kChunk;
-  // One entry per callback, in call order: the wave size for onCandidates,
-  // the cumulative count for onProgress.
-  std::vector<std::pair<char, std::size_t>> calls;
-  options.onCandidates = [&](const std::vector<opt::EvaluatedCandidate>& wave) {
-    calls.emplace_back('C', wave.size());
-  };
-  options.onProgress = [&](std::size_t done) { calls.emplace_back('P', done); };
+  // The cumulative count of each onProgress call, in call order.
+  std::vector<std::size_t> calls;
+  options.onProgress = [&](std::size_t done) { calls.push_back(done); };
   const opt::SearchResult result = opt::searchDesignSpace(
       candidates, workload, business, scenarios, options);
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.evaluated, static_cast<int>(candidates.size()));
 
   const std::size_t waves = (candidates.size() + kChunk - 1) / kChunk;
-  ASSERT_EQ(calls.size(), 2 * waves);
+  ASSERT_EQ(calls.size(), waves);
   std::size_t done = 0;
   for (std::size_t w = 0; w < waves; ++w) {
-    const std::size_t size = std::min(kChunk, candidates.size() - done);
-    done += size;
-    EXPECT_EQ(calls[2 * w], std::make_pair('C', size)) << "wave " << w;
-    EXPECT_EQ(calls[2 * w + 1], std::make_pair('P', done)) << "wave " << w;
+    done += std::min(kChunk, candidates.size() - done);
+    EXPECT_EQ(calls[w], done) << "wave " << w;
   }
   expectSameSearch(result, opt::searchDesignSpaceSerial(candidates, workload,
                                                         business, scenarios));

@@ -347,6 +347,44 @@ TEST(DesignSpaceCursor, SeekingRangesMatchTheWalk) {
   }
 }
 
+// perfbench's sweep runs the grid as restricted cursor ranges and merges
+// them with rankEvaluated: the merge must be the full sweep, bit for bit.
+TEST(PartitionGrid, MergedPartitionRankingIsBitIdentical) {
+  const DesignSpaceOptions gridOptions;
+  const std::uint64_t total = gridCardinality(gridOptions);
+  const auto workload = cs::celloWorkload();
+  const auto business = cs::requirements();
+  const auto scenarios = caseStudyScenarios();
+  const SearchOptions searchOptions;
+
+  DesignSpaceCursor fullCursor(gridOptions);
+  const SearchResult reference = searchDesignSpaceStreaming(
+      fullCursor, workload, business, scenarios, searchOptions);
+
+  for (const std::uint64_t parts : {3u, 64u}) {
+    SCOPED_TRACE(parts);
+    std::vector<EvaluatedCandidate> all;
+    for (std::uint64_t p = 0; p < parts; ++p) {
+      DesignSpaceCursor cursor(gridOptions);
+      cursor.restrictTo(total * p / parts, total * (p + 1) / parts);
+      const SearchResult part = searchDesignSpaceStreaming(
+          cursor, workload, business, scenarios, searchOptions);
+      for (const auto& c : part.ranked) all.push_back(c);
+      for (const auto& c : part.rejected) all.push_back(c);
+    }
+    const SearchResult merged = rankEvaluated(std::move(all));
+
+    ASSERT_EQ(merged.ranked.size(), reference.ranked.size());
+    ASSERT_EQ(merged.rejected.size(), reference.rejected.size());
+    EXPECT_EQ(merged.evaluated, reference.evaluated);
+    for (std::size_t i = 0; i < merged.ranked.size(); ++i) {
+      EXPECT_EQ(merged.ranked[i].label, reference.ranked[i].label);
+      EXPECT_EQ(merged.ranked[i].totalCost.usd(),
+                reference.ranked[i].totalCost.usd());  // bit-exact
+    }
+  }
+}
+
 TEST(Search, RanksByTotalCost) {
   const auto candidates = enumerateDesignSpace();
   const SearchResult result = searchDesignSpace(

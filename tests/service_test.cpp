@@ -9,7 +9,8 @@
 //     Monte-Carlo run;
 //   * shutdown() drains in-flight work before the server stops;
 //   * admission control (oversized jobs and slots still in flight → 429,
-//     draining → 503), routing errors, /healthz and /metrics;
+//     draining → 503; a shed request that asked to close gets its 503 and
+//     then EOF), routing errors, /healthz and /metrics;
 //   * array responses report only their own engine stats;
 //   * a verify/gen-seeded fuzz pass round-tripping random evaluate payloads
 //     through the server against the in-process engine, byte for byte;
@@ -524,6 +525,37 @@ TEST(ServiceLoopback, AdmissionCountsInFlightSlots) {
       client.post("/v1/evaluate", pairs[2].payload);
   EXPECT_EQ(retry.status, 200);
   EXPECT_EQ(retry.body, pairs[2].expectedBody);
+  server.shutdown();
+}
+
+TEST(ServiceLoopback, ShedRequestAskingToCloseIsAnsweredThenClosed) {
+  const std::vector<Pair> pairs = makePairs();
+  Server server;
+  server.start();
+  server.forceBrownoutTier(3);
+  while (server.brownoutTier() != 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const int fd = rawSocket();
+  connectLoopback(fd, server.port());
+  sendRaw(fd, evaluateRequest(pairs[0].payload, /*close=*/true));
+  std::string stream;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    stream.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  // A read that ends in -1 ran into the receive timeout: the server kept
+  // the connection the request asked it to close.
+  EXPECT_EQ(n, 0) << "no EOF after the answer";
+  const std::vector<HttpClientResponse> responses = parseResponses(stream);
+  ASSERT_EQ(responses.size(), 1u) << stream;
+  EXPECT_EQ(responses[0].status, 503);
+  EXPECT_EQ(Json::parse(responses[0].body).at("error").at("code").asString(),
+            "browned-out");
   server.shutdown();
 }
 
