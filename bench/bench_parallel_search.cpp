@@ -3,22 +3,22 @@
 // Runs the same ~500-candidate design-space sweep (the paper's automated
 // optimization loop, on a grid denser than the default) several ways:
 //
-//  * the serial reference path (pre-engine: one thread, no cache);
-//  * engine-backed at 1/2/4/8 threads, cold cache (parallel speedup),
-//    pinned to the legacy cache-backed path (usePlan = false) so the
-//    EvalCache keeps getting measured;
-//  * the same engine again, warm cache (memoization hit rate);
-//  * the compiled-plan fast path (engine/plan.hpp): plan-routed sweeps
-//    (ranking parity with serial, speedup reported), plus the gated
-//    compile-once-evaluate-many matrix — every plannable design under 24
-//    scenario variants, serial and cold 8-thread, vs a legacy serial loop
-//    over the identical pairs.
+//  * the serial reference path (pre-engine: one thread, no cache, the
+//    legacy evaluate());
+//  * engine-backed at 1/2/4/8 threads (parallel speedup); every sweep
+//    compiles each candidate into an evaluation plan (engine/plan.hpp) and
+//    never touches the engine's cache;
+//  * a streaming sweep over a >= 10k-candidate grid;
+//  * best-of-3 sweeps at 1 and 8 threads (ranking parity with serial,
+//    speedup reported), plus the gated compile-once-evaluate-many matrix —
+//    every design under 24 scenario variants, serial and cold 8-thread, vs
+//    a legacy serial loop over the identical pairs.
 //
 // Emits a JSON document on stdout so the perf trajectory can be tracked
 // across PRs, and exits non-zero if the engine's results diverge from the
-// serial reference (determinism is part of the contract being benchmarked),
-// if a warm re-sweep falls under a 90% cache hit rate, or if the plan path
-// misses its throughput gates (see kSeedSerialEvalsPerSec below).
+// serial reference (determinism is part of the contract being benchmarked)
+// or if the plan path misses its throughput gates (see
+// kSeedSerialEvalsPerSec below).
 //
 // Speedup expectations for the *thread* runs are hardware-relative: the
 // container this repo is grown in may expose a single core (reported as
@@ -143,41 +143,17 @@ int main() {
   for (const int threads : {1, 2, 4, 8}) {
     stordep::engine::Engine engine(
         stordep::engine::EngineOptions{.threads = threads});
-    // These are the *legacy-path* reference sections: pin the plan routing
-    // off so the keyed evaluate / cache machinery is what gets timed (and
-    // so the warm hit-rate gate keeps meaning something).
-    opt::SearchOptions legacyOptions;
-    legacyOptions.eng = &engine;
-    legacyOptions.maxRetries = 0;
-    legacyOptions.usePlan = false;
+    opt::SearchOptions options;
+    options.eng = &engine;
 
     const auto coldStart = std::chrono::steady_clock::now();
     const opt::SearchResult cold = opt::searchDesignSpace(
-        candidates, workload, business, scenarios, legacyOptions);
+        candidates, workload, business, scenarios, options);
     const double coldSeconds = secondsSince(coldStart);
-    const auto afterCold = engine.cache().stats();
 
-    const auto warmStart = std::chrono::steady_clock::now();
-    const opt::SearchResult warm = opt::searchDesignSpace(
-        candidates, workload, business, scenarios, legacyOptions);
-    const double warmSeconds = secondsSince(warmStart);
-    const auto stats = engine.cache().stats();
-
-    const double warmHits = static_cast<double>(stats.hits - afterCold.hits);
-    const double warmLookups =
-        static_cast<double>((stats.hits + stats.misses) -
-                            (afterCold.hits + afterCold.misses));
-    const double warmHitRate =
-        warmLookups > 0.0 ? warmHits / warmLookups : 0.0;
-
-    if (!sameRanking(serial, cold) || !sameRanking(serial, warm)) {
+    if (!sameRanking(serial, cold)) {
       std::cerr << "FAIL: engine-backed ranking diverged from serial at "
                 << threads << " threads\n";
-      ok = false;
-    }
-    if (warmHitRate < 0.9) {
-      std::cerr << "FAIL: warm re-sweep hit rate " << warmHitRate
-                << " < 0.9 at " << threads << " threads\n";
       ok = false;
     }
 
@@ -188,10 +164,6 @@ int main() {
     run.set("coldEvalsPerSec",
             Json(static_cast<double>(candidates.size() * scenarios.size()) /
                  coldSeconds));
-    run.set("warmSeconds", Json(warmSeconds));
-    run.set("warmSpeedupVsSerial", Json(serialSeconds / warmSeconds));
-    run.set("warmCacheHitRate", Json(warmHitRate));
-    run.set("cacheEntries", Json(static_cast<std::int64_t>(stats.entries)));
     runs.push_back(std::move(run));
   }
   doc.set("runs", Json(std::move(runs)));
@@ -199,17 +171,14 @@ int main() {
   // Streaming sweep over a >= 10k-candidate grid: the cursor drains chunks
   // into the pool without ever materializing the candidate vector. The
   // serial reference runs over the materialized vector (which also validates
-  // that the cursor reproduces enumerateDesignSpace exactly), and both the
-  // cold and warm streaming rankings must be bit-identical to it. Cold
-  // throughput is hardware-relative like the thread runs above — on one
-  // core the engine's cache bookkeeping roughly washes out against
-  // computing each candidate's scenario-independent sub-models once rather
-  // than once per scenario — so the hard guards are the machine-independent
-  // contracts: no divergence, the warm (memoized) sweep beats serial, and
-  // cold streaming stays within 30% of serial even with no cores to fan
-  // out to. Each run takes a few tenths of a second, so both sides of the
-  // cold gate run kBigGridAttempts times and the gate compares the fastest
-  // of each; every cold run's ranking is checked.
+  // that the cursor reproduces enumerateDesignSpace exactly), and every
+  // streaming ranking must be bit-identical to it. Throughput is
+  // hardware-relative like the thread runs above, so the hard guards are
+  // the machine-independent contracts: no divergence, and streaming stays
+  // within 30% of serial even with no cores to fan out to. Each run takes a
+  // few tenths of a second, so both sides of the gate run kBigGridAttempts
+  // times and the gate compares the fastest of each; every run's ranking is
+  // checked.
   {
     constexpr int kBigGridAttempts = 3;
     const opt::DesignSpaceOptions bigOptions = bigGridOptions();
@@ -229,27 +198,17 @@ int main() {
     }
 
     opt::SearchResult cold;
-    opt::SearchResult warm;
     bool coldDiverged = false;
     for (int attempt = 0; attempt < kBigGridAttempts; ++attempt) {
       stordep::engine::Engine engine(stordep::engine::EngineOptions{});
       opt::SearchOptions searchOptions;
       searchOptions.eng = &engine;
-      // Legacy reference section, like the thread runs above.
-      searchOptions.usePlan = false;
 
       opt::DesignSpaceCursor coldCursor(bigOptions);
       opt::SearchResult coldRun = opt::searchDesignSpaceStreaming(
           coldCursor, workload, business, scenarios, searchOptions);
       coldDiverged = coldDiverged || !sameRanking(bigSerial, coldRun);
       keepFastest(cold, std::move(coldRun));
-
-      if (attempt == 0) {
-        // The warm sweep re-runs the grid on the engine a cold sweep filled.
-        opt::DesignSpaceCursor warmCursor(bigOptions);
-        warm = opt::searchDesignSpaceStreaming(warmCursor, workload, business,
-                                               scenarios, searchOptions);
-      }
     }
 
     if (bigGrid.size() < 10000) {
@@ -257,15 +216,9 @@ int main() {
                 << " candidates (< 10000)\n";
       ok = false;
     }
-    if (coldDiverged || !sameRanking(bigSerial, warm)) {
+    if (coldDiverged) {
       std::cerr << "FAIL: streaming sweep ranking diverged from serial on "
                 << bigGrid.size() << " candidates\n";
-      ok = false;
-    }
-    if (warm.candidatesPerSec <= bigSerial.candidatesPerSec) {
-      std::cerr << "FAIL: warm streaming sweep " << warm.candidatesPerSec
-                << " candidates/sec did not beat serial "
-                << bigSerial.candidatesPerSec << "\n";
       ok = false;
     }
     if (cold.candidatesPerSec < 0.7 * bigSerial.candidatesPerSec) {
@@ -285,12 +238,6 @@ int main() {
     big.set("coldStreamingCandidatesPerSec", Json(cold.candidatesPerSec));
     big.set("coldStreamingSpeedup",
             Json(cold.candidatesPerSec /
-                 (bigSerial.candidatesPerSec > 0.0 ? bigSerial.candidatesPerSec
-                                                   : 1.0)));
-    big.set("warmStreamingSeconds", Json(warm.wallSeconds));
-    big.set("warmStreamingCandidatesPerSec", Json(warm.candidatesPerSec));
-    big.set("warmStreamingSpeedup",
-            Json(warm.candidatesPerSec /
                  (bigSerial.candidatesPerSec > 0.0 ? bigSerial.candidatesPerSec
                                                    : 1.0)));
     doc.set("bigGrid", Json(std::move(big)));
@@ -323,8 +270,6 @@ int main() {
             stordep::engine::EngineOptions{.threads = threads});
         opt::SearchOptions planOptions;
         planOptions.eng = &engine;
-        planOptions.maxRetries = 0;
-        planOptions.usePlan = true;
         const auto start = std::chrono::steady_clock::now();
         result = opt::searchDesignSpace(candidates, workload, business,
                                         scenarios, planOptions);
@@ -346,8 +291,8 @@ int main() {
       ok = false;
     }
 
-    // The matrix workload: every plannable design from the dense grid under
-    // 24 scenarios (the 3 case-study failures x 8 recovery target ages).
+    // The matrix workload: every design from the dense grid under 24
+    // scenarios (the 3 case-study failures x 8 recovery target ages).
     // Designs that either path cannot evaluate without throwing are skipped
     // (the sweeps above have per-candidate isolation; these loops have none).
     std::vector<std::shared_ptr<const stordep::StorageDesign>> designs;
@@ -367,7 +312,6 @@ int main() {
         for (const stordep::FailureScenario& sc : matrixScenarios) {
           (void)stordep::evaluate(design, sc);
         }
-        if (stordep::engine::EvalPlan::compile(design) == nullptr) continue;
         designs.push_back(
             std::make_shared<const stordep::StorageDesign>(std::move(design)));
       } catch (const std::exception&) {
@@ -471,8 +415,6 @@ int main() {
              Json(static_cast<std::int64_t>(coldStats.threadsUsed)));
     plan.set("planCompiles",
              Json(static_cast<std::int64_t>(coldStats.planCompiles)));
-    plan.set("planIncompatible",
-             Json(static_cast<std::int64_t>(coldStats.planIncompatible)));
     plan.set("sweepSerialSeconds", Json(planSerialSweepSeconds));
     plan.set("sweepSerialSpeedupVsSerialSearch",
              Json(serialSeconds / planSerialSweepSeconds));

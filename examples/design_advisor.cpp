@@ -15,7 +15,6 @@
 //   --checkpoint=PATH     journal completed candidates to PATH; re-running
 //                         with the same arguments resumes where it stopped
 //                         and produces the exact uninterrupted ranking
-//   --retries=N           retry transient evaluation failures up to N times
 //
 // Note that the scenario set includes a 24-hour-rollback object failure, so
 // very tight RPOs (e.g. 1 h) are unsatisfiable by construction: a level that
@@ -50,12 +49,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--deadline=", 0) == 0) {
       searchOptions.deadline = std::chrono::milliseconds(
           static_cast<long long>(std::atof(arg.c_str() + 11) * 1000.0));
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      searchOptions.maxRetries = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--plan") {
-      searchOptions.usePlan = true;  // the default; kept for symmetry
-    } else if (arg == "--no-plan") {
-      searchOptions.usePlan = false;  // force the legacy cache-backed path
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown option " << arg << "\n";
       return 2;
@@ -155,11 +148,8 @@ int main(int argc, char** argv) {
 
   if (const auto* best = result.best()) {
     // Hill-climb the grid winner's knobs off-grid.
-    opt::RefineOptions refineOptions;
-    refineOptions.usePlan = searchOptions.usePlan;
     const opt::RefineResult refined = opt::refineCandidate(
-        best->spec, cs::celloWorkload(), business, opt::caseStudyScenarios(),
-        refineOptions);
+        best->spec, cs::celloWorkload(), business, opt::caseStudyScenarios());
     std::cout << "Recommendation: " << refined.best.label << "\n";
     if (refined.improvement.usd() > 1.0) {
       std::cout << "  (refined from '" << best->label << "', saving "

@@ -84,14 +84,8 @@ std::vector<TechniqueOutlay> computeOutlays(
 
 CostResult computeCosts(const StorageDesign& design,
                         const RecoveryResult& recovery) {
-  return computeCosts(design, recovery, computeOutlays(design.allDemands()));
-}
-
-CostResult computeCosts(const StorageDesign& design,
-                        const RecoveryResult& recovery,
-                        std::vector<TechniqueOutlay> outlays) {
   CostResult result;
-  result.outlays = std::move(outlays);
+  result.outlays = computeOutlays(design.allDemands());
   for (const auto& o : result.outlays) result.totalOutlays += o.total();
 
   const auto& business = design.business();

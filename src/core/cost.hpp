@@ -48,15 +48,6 @@ struct CostResult {
 [[nodiscard]] CostResult computeCosts(const StorageDesign& design,
                                       const RecoveryResult& recovery);
 
-/// Same, but with the scenario-independent outlay attribution already
-/// computed (by `computeOutlays(design.allDemands())`). Evaluating one
-/// design under many scenarios only needs the outlays once; this overload
-/// lets callers hoist that work out of the scenario loop. The result is
-/// bit-identical to the two-argument form.
-[[nodiscard]] CostResult computeCosts(const StorageDesign& design,
-                                      const RecoveryResult& recovery,
-                                      std::vector<TechniqueOutlay> outlays);
-
 /// Outlay attribution over an explicit demand set (used by multi-object
 /// portfolios: shared fixed costs are charged once across all objects).
 [[nodiscard]] std::vector<TechniqueOutlay> computeOutlays(

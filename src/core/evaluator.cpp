@@ -4,26 +4,12 @@ namespace stordep {
 
 EvaluationResult evaluate(const StorageDesign& design,
                           const FailureScenario& scenario) {
-  return evaluate(design, scenario, precomputeDesign(design));
-}
-
-DesignPrecomputation precomputeDesign(const StorageDesign& design) {
-  DesignPrecomputation pre;
-  pre.utilization = computeUtilization(design);
-  pre.outlays = computeOutlays(design.allDemands());
-  pre.warnings = design.validate();
-  return pre;
-}
-
-EvaluationResult evaluate(const StorageDesign& design,
-                          const FailureScenario& scenario,
-                          const DesignPrecomputation& precomputed) {
   EvaluationResult result;
-  result.utilization = precomputed.utilization;
+  result.utilization = computeUtilization(design);
   result.levelAssessments = assessAllLevels(design, scenario);
   result.recovery = computeRecovery(design, scenario);
-  result.cost = computeCosts(design, result.recovery, precomputed.outlays);
-  result.warnings = precomputed.warnings;
+  result.cost = computeCosts(design, result.recovery);
+  result.warnings = design.validate();
   result.meetsObjectives = design.business().meetsObjectives(
       result.recovery.recoveryTime, result.recovery.dataLoss);
   return result;

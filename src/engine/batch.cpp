@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -44,37 +45,27 @@ void Engine::setFaultInjector(std::shared_ptr<FaultInjector> injector) {
   cache_.setFaultInjector(std::move(injector));
 }
 
-EvaluationResult Engine::evaluate(const StorageDesign& design,
-                                  const FailureScenario& scenario) {
-  std::optional<DesignPrecomputation> precomputed;
-  return evaluateKeyed(design, scenario,
-                       fingerprintEvaluation(design, scenario), precomputed);
-}
-
 EvalOutcome Engine::tryEvaluate(const StorageDesign& design,
                                 const FailureScenario& scenario,
                                 const BatchOptions& options) {
   try {
-    std::optional<DesignPrecomputation> precomputed;
     return tryEvaluateKeyed(design, scenario,
-                            fingerprintEvaluation(design, scenario),
-                            precomputed, options);
+                            fingerprintEvaluation(design, scenario), options);
   } catch (...) {
     // Fingerprinting itself rejected the design (unserializable).
     return errorFromCurrentException();
   }
 }
 
-EvaluationResult Engine::evaluateKeyed(
-    const StorageDesign& design, const FailureScenario& scenario,
-    const Fingerprint& pairKey,
-    std::optional<DesignPrecomputation>& precomputed,
-    const CancellationToken& token, bool* hitOut) {
+EvaluationResult Engine::evaluateKeyed(const StorageDesign& design,
+                                       const FailureScenario& scenario,
+                                       const Fingerprint& pairKey,
+                                       const CancellationToken& token,
+                                       bool* hitOut) {
   if (hitOut != nullptr) *hitOut = false;
   const auto compute = [&] {
     if (injector_) injector_->maybeInject(FaultSite::kEvaluate, pairKey);
-    if (!precomputed) precomputed = precomputeDesign(design);
-    return stordep::evaluate(design, scenario, *precomputed);
+    return stordep::evaluate(design, scenario);
   };
   if (!options_.useCache) return compute();
 
@@ -97,16 +88,16 @@ EvaluationResult Engine::evaluateKeyed(
   return result;
 }
 
-EvalOutcome Engine::tryEvaluateKeyed(
-    const StorageDesign& design, const FailureScenario& scenario,
-    const Fingerprint& pairKey,
-    std::optional<DesignPrecomputation>& precomputed,
-    const BatchOptions& options, std::uint64_t* retriesOut, bool* hitOut) {
+EvalOutcome Engine::tryEvaluateKeyed(const StorageDesign& design,
+                                     const FailureScenario& scenario,
+                                     const Fingerprint& pairKey,
+                                     const BatchOptions& options,
+                                     std::uint64_t* retriesOut, bool* hitOut) {
   const int maxRetries = std::max(0, options.maxRetries);
   for (int attempt = 0;; ++attempt) {
     try {
-      return EvalOutcome(evaluateKeyed(design, scenario, pairKey, precomputed,
-                                       options.token, hitOut));
+      return EvalOutcome(
+          evaluateKeyed(design, scenario, pairKey, options.token, hitOut));
     } catch (...) {
       EvalError error = errorFromCurrentException();
       error.attempts = attempt + 1;
@@ -202,12 +193,11 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
     // The pool site stands in for dispatch-layer faults; it is not retried.
     if (injector_) injector_->maybeInject(FaultSite::kPool, key);
 
-    std::optional<DesignPrecomputation> precomputed;
     std::uint64_t localRetries = 0;
     bool hit = false;
     EvalOutcome outcome = tryEvaluateKeyed(*request.design, request.scenario,
-                                           key, precomputed, slotOptions,
-                                           &localRetries, &hit);
+                                           key, slotOptions, &localRetries,
+                                           &hit);
     retries.fetch_add(localRetries, std::memory_order_relaxed);
     if (outcome.ok()) {
       (hit ? hits : computed).fetch_add(1, std::memory_order_relaxed);
@@ -262,23 +252,13 @@ std::vector<EvaluationMetrics> Engine::evaluatePlanMatrix(
   const std::size_t scenarioCount = scenarios.size();
   std::vector<EvaluationMetrics> out(designCount * scenarioCount);
 
-  // Phase 1: one plan compile per design (parallel across designs). The
-  // rare plan-incompatible design gets its scenario-independent sub-models
-  // precomputed here instead, so its legacy fallback evals don't repeat
-  // them per scenario.
+  // Phase 1: one plan compile per design (parallel across designs).
   std::vector<std::shared_ptr<const EvalPlan>> plans(designCount);
-  std::vector<std::optional<DesignPrecomputation>> legacyPre(designCount);
   std::atomic<std::uint64_t> compiled{0};
-  std::atomic<std::uint64_t> incompatible{0};
   parallelFor(designCount, [&](std::size_t d) {
     if (designs[d] == nullptr) return;
     plans[d] = EvalPlan::compile(*designs[d]);
-    if (plans[d] != nullptr) {
-      compiled.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      incompatible.fetch_add(1, std::memory_order_relaxed);
-      legacyPre[d] = precomputeDesign(*designs[d]);
-    }
+    compiled.fetch_add(1, std::memory_order_relaxed);
   });
 
   // Phase 2: every (design, scenario) pair, allocation-free via the
@@ -286,21 +266,14 @@ std::vector<EvaluationMetrics> Engine::evaluatePlanMatrix(
   // cache across its scenario row.
   parallelFor(designCount * scenarioCount, [&](std::size_t k) {
     const std::size_t d = k / scenarioCount;
-    if (designs[d] == nullptr) return;
-    const std::size_t s = k % scenarioCount;
-    if (plans[d] != nullptr) {
-      out[k] = plans[d]->evaluate(scenarios[s], threadArena());
-    } else {
-      out[k] = summarizeEvaluation(
-          stordep::evaluate(*designs[d], scenarios[s], *legacyPre[d]));
-    }
+    if (plans[d] == nullptr) return;
+    out[k] = plans[d]->evaluate(scenarios[k % scenarioCount], threadArena());
   });
 
   if (statsOut != nullptr) {
     statsOut->threadsUsed = threads_;
     statsOut->pairs = designCount * scenarioCount;
     statsOut->planCompiles = compiled.load();
-    statsOut->planIncompatible = incompatible.load();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     statsOut->wallSeconds = elapsed.count();

@@ -6,13 +6,15 @@
 // a sharded LRU cache of evaluation results keyed by canonical fingerprint,
 // and exposes:
 //
-//  * evaluate(design, scenario) — one cached evaluation;
+//  * tryEvaluate(design, scenario) — one cached evaluation;
 //  * evaluateBatch(requests)    — a vector of (design, scenario) pairs fanned
 //    out across cores, returning one Expected<EvaluationResult> per request
 //    in request order plus EngineStats (throughput, cache hit rate, failed/
 //    cancelled counts, threads used);
 //  * parallelFor(n, body)       — the raw fan-out primitive, used by the
-//    optimizer to parallelize at candidate granularity.
+//    optimizer to parallelize at candidate granularity;
+//  * evaluatePlanMatrix(designs, scenarios) — compiled plans (plan.hpp)
+//    over a cross-product, bypassing the cache.
 //
 // Failure semantics: evaluateBatch never throws for a bad request — each
 // slot independently carries its result or a structured EvalError (see
@@ -25,22 +27,22 @@
 // exercises all of these paths deterministically.
 //
 // Determinism contract: evaluate() is a pure function and every parallel
-// path writes results into per-request slots, so engine-backed sweeps return
-// results bit-identical to a serial loop — same Money/Duration values, same
-// ranking. Caching never changes a value, only who computed it, and an
+// path writes results into per-request slots, so engine-backed batches
+// return results bit-identical to a serial loop — same Money/Duration
+// values. Caching never changes a value, only who computed it, and an
 // injected failure in one request leaves every other slot bit-identical to
 // a clean run.
 //
 // An Engine with threads == 1 runs everything on the calling thread (no pool
 // is created); threads == 0 sizes the pool to the hardware. The process-wide
-// Engine::shared() instance persists its cache across search / portfolio /
-// bench calls, which is where repeated sweeps win their ≥90% hit rates.
+// Engine::shared() instance persists its cache across the service and
+// portfolio calls within the process; sweeps evaluate compiled plans and
+// never touch it.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -137,10 +139,6 @@ class Engine {
   [[nodiscard]] EvalCache& cache() noexcept { return cache_; }
   [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
 
-  /// One evaluation through the cache; throws on failure (legacy contract).
-  [[nodiscard]] EvaluationResult evaluate(const StorageDesign& design,
-                                          const FailureScenario& scenario);
-
   /// One evaluation with the structured-error contract: never throws for
   /// model/injection failures, honors retries for transient errors.
   [[nodiscard]] EvalOutcome tryEvaluate(const StorageDesign& design,
@@ -149,18 +147,14 @@ class Engine {
 
   /// Cached evaluation where the caller already holds the pair key (e.g.
   /// combine(designFp, scenarioFp) with both fingerprints hoisted out of its
-  /// loops) and a lazily-filled precomputation slot: on the first miss for a
-  /// design, the scenario-independent sub-models are computed once into
-  /// `precomputed` and reused by every later miss for the same design.
-  /// Misses are single-flight (EvalCache::probe): while another thread
-  /// computes the pair this call waits, throwing `token`'s error if it
-  /// fires first. `hitOut`, when non-null, receives whether the result came
-  /// from the cache.
+  /// loops). Misses are single-flight (EvalCache::probe): while another
+  /// thread computes the pair this call waits, throwing `token`'s error if
+  /// it fires first. `hitOut`, when non-null, receives whether the result
+  /// came from the cache.
   [[nodiscard]] EvaluationResult evaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
-      const Fingerprint& pairKey,
-      std::optional<DesignPrecomputation>& precomputed,
-      const CancellationToken& token = {}, bool* hitOut = nullptr);
+      const Fingerprint& pairKey, const CancellationToken& token = {},
+      bool* hitOut = nullptr);
 
   /// evaluateKeyed with the structured-error contract and bounded retries
   /// for transient failures; a wait polls `options.token`. `retriesOut`,
@@ -168,10 +162,8 @@ class Engine {
   /// stats); `hitOut` is as in evaluateKeyed, for the final attempt.
   [[nodiscard]] EvalOutcome tryEvaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
-      const Fingerprint& pairKey,
-      std::optional<DesignPrecomputation>& precomputed,
-      const BatchOptions& options, std::uint64_t* retriesOut = nullptr,
-      bool* hitOut = nullptr);
+      const Fingerprint& pairKey, const BatchOptions& options,
+      std::uint64_t* retriesOut = nullptr, bool* hitOut = nullptr);
 
   /// Evaluates all requests (in request order in the result vector), fanned
   /// out across the pool, with cache-hit accounting and throughput stats.
@@ -186,10 +178,6 @@ class Engine {
   /// engine's cache (nullptr uninstalls). Set while quiescent — not
   /// thread-safe against an in-flight batch.
   void setFaultInjector(std::shared_ptr<FaultInjector> injector);
-  [[nodiscard]] const std::shared_ptr<FaultInjector>& faultInjector()
-      const noexcept {
-    return injector_;
-  }
 
   /// Index-space fan-out on this engine's pool; serial when threads() == 1.
   /// Blocks until done; rethrows the first exception.
@@ -204,15 +192,14 @@ class Engine {
                               const CancellationToken& token);
 
   /// Process-wide engine (hardware-sized, default cache). Its cache persists
-  /// across optimizer / portfolio / bench calls within the process.
+  /// across service / portfolio / bench calls within the process.
   [[nodiscard]] static Engine& shared();
 
   /// Stats for one evaluatePlanMatrix call.
   struct PlanBatchStats {
     int threadsUsed = 1;
     std::uint64_t pairs = 0;
-    std::uint64_t planCompiles = 0;     ///< designs compiled into plans
-    std::uint64_t planIncompatible = 0; ///< designs evaluated via legacy path
+    std::uint64_t planCompiles = 0;  ///< designs compiled into plans
     double wallSeconds = 0.0;
     double pairsPerSec = 0.0;
   };
@@ -221,11 +208,10 @@ class Engine {
   /// (engine/plan.hpp), then evaluates every (design, scenario) pair against
   /// the plans with per-thread bump arenas — allocation-free per eval and
   /// lock-free (the plan path does not touch the eval cache). Results are in
-  /// design-major order: out[d * scenarios.size() + s]. Designs the plan
-  /// compiler rejects fall back to the legacy evaluator (bit-identical by
-  /// the plan contract). Unlike evaluateBatch this throws on model errors,
-  /// mirroring the plain evaluate() contract; null design pointers leave
-  /// their rows default-initialized.
+  /// design-major order: out[d * scenarios.size() + s]. Unlike
+  /// evaluateBatch this throws on model errors, mirroring the plain
+  /// evaluate() contract; null design pointers leave their rows
+  /// default-initialized.
   [[nodiscard]] std::vector<EvaluationMetrics> evaluatePlanMatrix(
       const std::vector<std::shared_ptr<const StorageDesign>>& designs,
       const std::vector<FailureScenario>& scenarios,

@@ -13,9 +13,9 @@ const std::string kNoDeviceName;
 }  // namespace
 
 std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
-  if (design.levelCount() == 0) return nullptr;
+  // The StorageDesign and PrimaryCopy constructors guarantee a primary
+  // level with a non-null array.
   const DevicePtr primaryArray = design.primary().array();
-  if (!primaryArray) return nullptr;
 
   auto plan = std::shared_ptr<EvalPlan>(new EvalPlan());
   const WorkloadSpec& workload = design.workload();
@@ -68,16 +68,22 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
 
     row.storageBegin = static_cast<std::uint32_t>(plan->storageIdx_.size());
     for (const DevicePtr& d : tech.storageDevices()) {
-      if (!d) return nullptr;
+      if (!d) {
+        throw DesignError("design '" + design.name() + "': level '" +
+                          tech.name() + "' has a null storage device");
+      }
       plan->storageIdx_.push_back(static_cast<std::uint32_t>(addDevice(d)));
     }
     row.storageEnd = static_cast<std::uint32_t>(plan->storageIdx_.size());
 
     row.legBegin = static_cast<std::uint32_t>(plan->legs_.size());
     for (const RecoveryLeg& leg : tech.recoveryLegs(primaryArray)) {
-      // A leg with a missing endpoint is a diagnostic-note path in the
-      // legacy evaluator; such designs stay on the legacy path.
-      if (!leg.from || !leg.to) return nullptr;
+      // recoverFrom() stops at a leg with a missing endpoint; the legs
+      // after it are never walked, so they get no rows.
+      if (!leg.from || !leg.to) {
+        row.endpointMissing = true;
+        break;
+      }
       LegRow lr;
       lr.from = addDevice(leg.from);
       lr.to = addDevice(leg.to);
@@ -219,6 +225,8 @@ EvalPlan::ResolvedRecovery EvalPlan::resolveRecovery(
   };
 
   out.legs.reserve(src.legEnd - src.legBegin);
+  // Reaching the missing endpoint loses the path like an unviable leg.
+  out.pathLost = src.endpointMissing;
   for (std::uint32_t l = src.legBegin; l < src.legEnd; ++l) {
     const LegRow& leg = legs_[l];
     const Resolved from = resolve(leg.from);
@@ -365,8 +373,9 @@ EvaluationMetrics EvalPlan::evaluate(const FailureScenario& scenario,
                                                       *scenario.recoverySize)
                       : src.defaultPayload;
       if (src.legBegin == src.legEnd) {
-        // "source level has no restore path": unrecoverable, RT stays
-        // infinite, DL keeps the source assessment.
+        // "source level has no restore path" (or its first leg has a
+        // missing endpoint): unrecoverable, RT stays infinite, DL keeps the
+        // source assessment.
       } else {
         // Leg walk: recoverFrom (recovery.cpp), minus the reporting.
         struct Resolved {
@@ -436,7 +445,11 @@ EvaluationMetrics EvalPlan::evaluate(const FailureScenario& scenario,
           clock = ready;
           if (!clock.isFinite()) break;
         }
-        if (!pathLost) {
+        // A walk that reaches the leg with a missing endpoint keeps the
+        // defaults: recoverFrom() returns there unrecoverable, RT infinite,
+        // DL kept from the source assessment.
+        const bool reachedMissing = src.endpointMissing && clock.isFinite();
+        if (!pathLost && !reachedMissing) {
           m.recoverable = clock.isFinite();
           m.recoveryTime = clock;
         }

@@ -31,11 +31,11 @@
 // scenario)) bit for bit. The plan-vs-legacy differential oracle
 // (src/verify/differential.cpp) enforces this over the generated corpus.
 //
-// Not every design is plannable: compile() returns nullptr for designs the
-// table layout cannot represent faithfully (currently: restore legs with
-// missing endpoints, whose legacy behaviour is a diagnostic note). Callers
-// fall back to the legacy evaluator — behaviour, not availability, is the
-// invariant.
+// compile() is total: every design the StorageDesign constructor accepts
+// compiles. A restore leg with a missing endpoint ends its level's leg rows
+// and marks the level, reproducing recoverFrom()'s early return (the legs
+// before it are walked; the result is unrecoverable). A null storage device
+// is a malformed design and throws DesignError.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +51,11 @@ namespace stordep::engine {
 
 class EvalPlan {
  public:
-  /// Flattens `design` into an immutable plan. Returns nullptr when the
-  /// design is not plannable (caller must use the legacy evaluator).
-  /// The plan holds shared ownership of the design's devices, techniques
-  /// and a copy of its workload/business inputs; the StorageDesign itself
-  /// may be destroyed afterwards.
+  /// Flattens `design` into an immutable plan; never null. Throws
+  /// DesignError when a level lists a null storage device. The plan holds
+  /// shared ownership of the design's devices, techniques and a copy of its
+  /// workload/business inputs; the StorageDesign itself may be destroyed
+  /// afterwards.
   [[nodiscard]] static std::shared_ptr<const EvalPlan> compile(
       const StorageDesign& design);
 
@@ -114,8 +114,9 @@ class EvalPlan {
   };
 
   struct ResolvedRecovery {
-    /// Some endpoint is destroyed with no spare or facility: the walk is
-    /// unrecoverable regardless of payload (legs stop at the lost one).
+    /// Some endpoint is destroyed with no spare or facility, or a leg has
+    /// no endpoint: the walk is unrecoverable regardless of payload (legs
+    /// stop at the lost one).
     bool pathLost = false;
     /// False mirrors "source level has no restore path": unrecoverable.
     bool hasLegs = false;
@@ -177,9 +178,13 @@ class EvalPlan {
     /// Span into storageIdx_: this level's storage devices.
     std::uint32_t storageBegin = 0;
     std::uint32_t storageEnd = 0;
-    /// Span into legs_: this level's restore path.
+    /// Span into legs_: this level's restore path, up to (not including)
+    /// the first leg with a missing endpoint.
     std::uint32_t legBegin = 0;
     std::uint32_t legEnd = 0;
+    /// The restore path has a leg with a missing endpoint after the span:
+    /// recoverFrom() walks the legs before it, then gives up unrecoverable.
+    bool endpointMissing = false;
   };
 
   /// Mirror of availableBandwidth(design, device, payload, fresh, &scenario)

@@ -62,8 +62,7 @@ RefineResult refineCandidate(const CandidateSpec& start,
   engine::Engine& resolved = eng != nullptr ? *eng : engine::Engine::shared();
 
   RefineResult result;
-  result.best = evaluateCandidate(start, workload, business, scenarios,
-                                  &resolved, options.usePlan);
+  result.best = evaluateCandidate(start, workload, business, scenarios);
   ++result.evaluations;
   const Money startCost = result.best.totalCost;
   if (!result.best.feasible) {
@@ -86,8 +85,8 @@ RefineResult refineCandidate(const CandidateSpec& start,
     // like the serial climb.
     std::vector<EvaluatedCandidate> evaluated(moves.size());
     resolved.parallelFor(moves.size(), [&](std::size_t i) {
-      evaluated[i] = evaluateCandidate(moves[i], workload, business,
-                                       scenarios, &resolved, options.usePlan);
+      evaluated[i] =
+          evaluateCandidate(moves[i], workload, business, scenarios);
     });
     result.evaluations += static_cast<int>(moves.size());
 

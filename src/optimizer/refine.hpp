@@ -21,9 +21,6 @@ struct RefineOptions {
   /// Cooperative cancellation, polled between climb steps: the climb stops
   /// at the last accepted move (which is always a valid, evaluated design).
   engine::CancellationToken token;
-  /// Evaluate neighborhoods through compiled evaluation plans (see
-  /// SearchOptions::usePlan); bit-identical to the legacy cache-backed path.
-  bool usePlan = true;
 };
 
 struct RefineResult {
@@ -43,11 +40,10 @@ struct RefineResult {
 /// Hill-climbs from `start` until no neighbor improves the total cost.
 /// Infeasible or objective-missing neighbors are never accepted; if the
 /// start itself is infeasible the result simply reports it unrefined.
-/// Each step's neighborhood is evaluated in parallel on the engine
-/// (null = Engine::shared()); the accepted move is selected serially in
-/// neighbor order, so results match a serial climb exactly. Refinement is
-/// where the engine's memoization shines: a climb that follows a search
-/// re-evaluates many pairs the sweep already cached.
+/// Each step's neighborhood is evaluated in parallel on the engine's pool
+/// (null = Engine::shared()), one compiled plan per neighbor; the accepted
+/// move is selected serially in neighbor order, so results match a serial
+/// climb exactly.
 [[nodiscard]] RefineResult refineCandidate(
     const CandidateSpec& start, const WorkloadSpec& workload,
     const BusinessRequirements& business,

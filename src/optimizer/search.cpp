@@ -21,18 +21,6 @@ struct StochasticObjectiveSpec {
   std::uint64_t seed = 1;
 };
 
-/// Shared scenario-set preparation: fingerprints hoisted out of the
-/// candidate loop (the same scenarios are paired with every candidate).
-std::vector<engine::Fingerprint> fingerprintScenarios(
-    const std::vector<ScenarioCase>& scenarios) {
-  std::vector<engine::Fingerprint> fps;
-  fps.reserve(scenarios.size());
-  for (const ScenarioCase& sc : scenarios) {
-    fps.push_back(engine::fingerprintScenario(sc.scenario));
-  }
-  return fps;
-}
-
 /// Folds one scenario evaluation into the candidate summary. Returns false
 /// when the candidate is infeasible and the scenario loop should stop (the
 /// same early-out the serial reference takes).
@@ -63,19 +51,21 @@ bool foldScenario(EvaluatedCandidate& out, const EvaluationResult& result,
   return true;
 }
 
-/// Plan-backed candidate evaluation: the compile-once fast path. The design
-/// is compiled into an engine::EvalPlan and every scenario folds through
+/// Evaluates one candidate through a compiled plan: the design is compiled
+/// into an engine::EvalPlan and every scenario folds through
 /// EvalPlan::evaluate on the calling thread's bump arena — no per-eval heap
 /// allocation, no cache traffic, no shard locks. Field for field this
-/// reproduces evaluateCandidateImpl + foldScenario (the plan contract
+/// reproduces the serial reference's foldScenario (the plan contract
 /// guarantees bit-identical metrics; the plan-vs-legacy oracle enforces it),
-/// including the exact rejection strings. Returns nullopt when the design is
-/// not plannable, in which case the caller takes the keyed legacy path.
-/// Never throws: failures are captured as EvaluatedCandidate::error.
-std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
-    const CandidateSpec& spec, const WorkloadSpec& workload,
-    const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios) {
+/// including the exact rejection strings. `stochastic` non-null selects the
+/// expected-penalty objective. Never throws: a build, compile or evaluation
+/// failure is captured as EvaluatedCandidate::error, isolating it to this
+/// candidate.
+EvaluatedCandidate evaluateViaPlan(const CandidateSpec& spec,
+                                   const WorkloadSpec& workload,
+                                   const BusinessRequirements& business,
+                                   const std::vector<ScenarioCase>& scenarios,
+                                   const StochasticObjectiveSpec* stochastic) {
   EvaluatedCandidate out;
   out.spec = spec;
   out.feasible = true;
@@ -86,9 +76,11 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
     out.label = design.name();  // build() names the design spec.label()
     const std::shared_ptr<const engine::EvalPlan> plan =
         engine::EvalPlan::compile(design);
-    if (plan == nullptr) return std::nullopt;  // legacy fallback
 
     bool outlaysRecorded = false;
+    // Per-scenario worst-case penalty contributions, kept in fold order so
+    // the expected-penalty objective can fall back scenario-by-scenario.
+    std::vector<Money> analyticPenalties;
     for (const ScenarioCase& sc : scenarios) {
       // Scenario-independent, but checked inside the loop so an empty
       // scenario set leaves the candidate untouched, like the legacy fold.
@@ -115,65 +107,8 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
       out.weightedPenalties += m.totalPenalties * sc.weight;
       out.worstRecoveryTime = std::max(out.worstRecoveryTime, m.recoveryTime);
       out.worstDataLoss = std::max(out.worstDataLoss, m.dataLoss);
-    }
-  } catch (...) {
-    // build() rejected the candidate (same isolation as the legacy path).
-    out.label = spec.label();
-    out.error = engine::errorFromCurrentException();
-  }
-
-  if (out.error) {
-    out.feasible = false;
-    out.rejectionReason = "evaluation failed: " + out.error->describe();
-  }
-  out.totalCost = out.outlays + out.weightedPenalties;
-  return out;
-}
-
-/// Evaluates one candidate against the scenario set. Never throws: a build
-/// or evaluation failure (past the retry budget in `evalOptions`) is
-/// captured as EvaluatedCandidate::error, isolating the failure to this
-/// candidate.
-EvaluatedCandidate evaluateCandidateImpl(
-    const CandidateSpec& spec, const WorkloadSpec& workload,
-    const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios, engine::Engine& eng,
-    const std::vector<engine::Fingerprint>& scenarioFps,
-    const engine::BatchOptions& evalOptions,
-    const StochasticObjectiveSpec* stochastic = nullptr) {
-  EvaluatedCandidate out;
-  out.spec = spec;
-  out.feasible = true;
-  out.meetsObjectives = true;
-
-  try {
-    const StorageDesign design = spec.build(workload, business);
-    out.label = design.name();  // build() names the design spec.label()
-    const engine::Fingerprint designFp = engine::fingerprintDesign(design);
-    // Scenario-independent sub-models (utilization, outlays, warnings) are
-    // computed at most once per candidate, and only if some scenario misses
-    // the cache.
-    std::optional<DesignPrecomputation> precomputed;
-    bool outlaysRecorded = false;
-    // Per-scenario worst-case penalty contributions, kept in fold order so
-    // the expected-penalty objective can fall back scenario-by-scenario.
-    std::vector<Money> analyticPenalties;
-
-    for (std::size_t j = 0; j < scenarios.size(); ++j) {
-      engine::EvalOutcome outcome = eng.tryEvaluateKeyed(
-          design, scenarios[j].scenario,
-          engine::combine(designFp, scenarioFps[j]), precomputed,
-          evalOptions);
-      if (!outcome.ok()) {
-        out.error = outcome.error();
-        break;
-      }
-      if (!foldScenario(out, outcome.value(), scenarios[j], outlaysRecorded)) {
-        break;
-      }
       if (stochastic != nullptr) {
-        analyticPenalties.push_back(outcome.value().cost.totalPenalties *
-                                    scenarios[j].weight);
+        analyticPenalties.push_back(m.totalPenalties * sc.weight);
       }
     }
 
@@ -183,8 +118,7 @@ EvaluatedCandidate evaluateCandidateImpl(
     // deterministic. Scenarios the simulation cannot serve keep their
     // worst-case contribution; a design the simulator rejects outright
     // keeps all of them.
-    if (stochastic != nullptr && !out.error && out.feasible &&
-        out.meetsObjectives &&
+    if (stochastic != nullptr && out.feasible && out.meetsObjectives &&
         analyticPenalties.size() == scenarios.size()) {
       try {
         stochastic::StochasticOptions sopt;
@@ -208,7 +142,7 @@ EvaluatedCandidate evaluateCandidateImpl(
       }
     }
   } catch (...) {
-    // build() or fingerprinting rejected the candidate.
+    // build(), compile or an evaluation rejected the candidate.
     out.label = spec.label();
     out.error = engine::errorFromCurrentException();
   }
@@ -264,29 +198,9 @@ SearchResult rankEvaluated(std::vector<EvaluatedCandidate> evaluated) {
 EvaluatedCandidate evaluateCandidate(
     const CandidateSpec& spec, const WorkloadSpec& workload,
     const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios, engine::Engine* eng,
-    bool usePlan) {
-  engine::Engine& resolved = eng != nullptr ? *eng : engine::Engine::shared();
-  if (usePlan && resolved.faultInjector() == nullptr) {
-    if (std::optional<EvaluatedCandidate> viaPlan =
-            tryEvaluateCandidateViaPlan(spec, workload, business, scenarios)) {
-      return std::move(*viaPlan);
-    }
-  }
-  return evaluateCandidateImpl(spec, workload, business, scenarios, resolved,
-                               fingerprintScenarios(scenarios),
-                               engine::BatchOptions{});
-}
-
-SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
-                               const WorkloadSpec& workload,
-                               const BusinessRequirements& business,
-                               const std::vector<ScenarioCase>& scenarios,
-                               engine::Engine* eng) {
-  SearchOptions options;
-  options.eng = eng;
-  options.maxRetries = 0;
-  return searchDesignSpace(candidates, workload, business, scenarios, options);
+    const std::vector<ScenarioCase>& scenarios, engine::Engine* /*eng*/,
+    bool /*usePlan*/) {
+  return evaluateViaPlan(spec, workload, business, scenarios, nullptr);
 }
 
 namespace {
@@ -306,12 +220,6 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
   const auto startTime = std::chrono::steady_clock::now();
   engine::Engine& resolved =
       options.eng != nullptr ? *options.eng : engine::Engine::shared();
-  const std::vector<engine::Fingerprint> scenarioFps =
-      fingerprintScenarios(scenarios);
-
-  engine::BatchOptions evalOptions;
-  evalOptions.maxRetries = options.maxRetries;
-  evalOptions.retryBackoff = options.retryBackoff;
 
   engine::CancellationToken token = options.token;
   if (options.deadline.count() > 0) {
@@ -324,12 +232,6 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
   const StochasticObjectiveSpec* stochastic =
       options.objective == Objective::kExpectedPenalty ? &stochasticSpec
                                                        : nullptr;
-
-  // The plan fast path applies only to the deterministic worst-case
-  // objective with no fault injection; everything else needs the keyed
-  // legacy path (retries, injected-failure probes, Monte-Carlo penalties).
-  const bool planEligible = options.usePlan && stochastic == nullptr &&
-                            resolved.faultInjector() == nullptr;
 
   std::unique_ptr<CheckpointJournal> journal;
   if (!options.checkpointPath.empty()) {
@@ -388,19 +290,11 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
         [&](std::size_t i) {
           if (completed[i] != 0) return;  // restored from the journal
           if (cancellable && token.cancelled()) return;
-          std::optional<EvaluatedCandidate> viaPlan;
-          if (planEligible) {
-            viaPlan = tryEvaluateCandidateViaPlan(chunk[i], workload, business,
-                                                  scenarios);
-          }
-          evaluated[i] =
-              viaPlan ? std::move(*viaPlan)
-                      : evaluateCandidateImpl(chunk[i], workload, business,
-                                              scenarios, resolved, scenarioFps,
-                                              evalOptions, stochastic);
+          evaluated[i] = evaluateViaPlan(chunk[i], workload, business,
+                                         scenarios, stochastic);
           completed[i] = 1;
-          // Only clean evaluations are journaled: a transiently-failed
-          // candidate should be re-attempted on resume, not pinned.
+          // Only clean evaluations are journaled: a failed candidate is
+          // re-attempted on resume, not pinned.
           if (journal && !evaluated[i].error) {
             journal->record(keys[i], evaluated[i]);
           }

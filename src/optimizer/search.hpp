@@ -7,20 +7,20 @@
 // optimization loop" realized over the analytic models — fast enough to
 // evaluate hundreds of candidates in milliseconds.
 //
-// Evaluation goes through an engine::Engine (src/engine/): candidates fan
-// out across the engine's thread pool and every (design, scenario) pair is
-// memoized in its result cache, so repeated sweeps (refinement, what-if
-// re-runs) mostly hit the cache. The engine-backed path is bit-identical to
-// the serial reference (`searchDesignSpaceSerial`): candidates are written
-// to indexed slots and ranked by the same deterministic comparison, and
-// evaluate() itself is a pure function.
-// Robustness: candidate evaluation is isolated — a candidate whose build or
-// evaluation fails carries a structured engine::EvalError instead of
-// aborting the sweep — and the SearchOptions overload adds cooperative
-// cancellation, a wall-clock deadline, transient-failure retries and
-// crash-safe checkpoint/resume (optimizer/checkpoint.hpp): completed
-// candidates are journaled, and a resumed sweep skips them while producing
-// the exact ranking of an uninterrupted run.
+// Candidates fan out across an engine::Engine's thread pool (src/engine/).
+// Each one is compiled once into an engine::EvalPlan and every scenario
+// folds allocation-free against the plan; sweeps never touch the engine's
+// result cache. The result is bit-identical to the serial reference
+// (`searchDesignSpaceSerial`, which calls the legacy evaluate()): the plan
+// contract makes every metric equal, candidates are written to indexed
+// slots, and all paths rank by the same deterministic comparison.
+// Robustness: candidate evaluation is isolated — a candidate whose build,
+// compile or evaluation throws carries a structured engine::EvalError
+// instead of aborting the sweep — and SearchOptions add cooperative
+// cancellation, a wall-clock deadline and crash-safe checkpoint/resume
+// (optimizer/checkpoint.hpp): completed candidates are journaled, and a
+// resumed sweep skips them while producing the exact ranking of an
+// uninterrupted run.
 #pragma once
 
 #include <chrono>
@@ -57,9 +57,9 @@ struct EvaluatedCandidate {
   Duration worstRecoveryTime;    ///< max across scenarios
   Duration worstDataLoss;        ///< max across scenarios
   std::string rejectionReason;   ///< set when infeasible / objective-missed
-  /// Set when the candidate could not be evaluated at all (its build threw,
-  /// or an evaluation failed past the retry budget). Errored candidates are
-  /// never feasible and land in SearchResult::rejected.
+  /// Set when the candidate could not be evaluated at all (its build,
+  /// compile or an evaluation threw). Errored candidates are never feasible
+  /// and land in SearchResult::rejected.
   std::optional<engine::EvalError> error;
 };
 
@@ -91,8 +91,8 @@ struct SearchResult {
 /// What the penalty component of a candidate's total cost measures.
 enum class Objective {
   /// The paper's objective: scenario-weighted *worst-case* penalties from
-  /// the analytic models. Deterministic, cache-friendly, bit-identical to
-  /// the serial reference.
+  /// the analytic models. Deterministic, bit-identical to the serial
+  /// reference.
   kWorstCase,
   /// Scenario-weighted *expected* penalties from the Monte-Carlo layer
   /// (stochastic::StochasticEvaluator, fixed seed, serial trials — still
@@ -102,7 +102,7 @@ enum class Objective {
   kExpectedPenalty,
 };
 
-/// Knobs for the fault-tolerant search overload (all default to "off").
+/// Knobs for a sweep (all default to "off").
 struct SearchOptions {
   /// Engine to evaluate through (null = Engine::shared()).
   engine::Engine* eng = nullptr;
@@ -112,9 +112,6 @@ struct SearchOptions {
   /// started before it elapses are left un-evaluated and the result is
   /// marked cancelled.
   std::chrono::milliseconds deadline{0};
-  /// Bounded retries for transient evaluation failures.
-  int maxRetries = 2;
-  std::chrono::milliseconds retryBackoff{1};
   /// Journal file for checkpoint/resume (empty = no journaling). A journal
   /// written by a previous run over the same workload/business/scenarios is
   /// resumed: journaled candidates are skipped, the final ranking is
@@ -145,47 +142,31 @@ struct SearchOptions {
   int stochasticTrials = 512;
   /// Root seed for the expected-penalty sampler (same seed -> same ranking).
   std::uint64_t stochasticSeed = 1;
-  /// Evaluate candidates through compiled evaluation plans (engine/plan.hpp):
-  /// each candidate is compiled once and every scenario folds allocation-free
-  /// against the flattened plan, which is what makes the *cold* sweep fast.
-  /// Bit-identical to the legacy path by the plan contract (and enforced by
-  /// the plan-vs-legacy differential oracle). Automatically ignored — the
-  /// keyed legacy path runs instead — for the kExpectedPenalty objective,
-  /// when a fault injector is installed, and for any candidate the plan
-  /// compiler rejects. Set false to force the legacy cache-backed path (the
-  /// benchmarks pin it off for their legacy-reference sections).
-  bool usePlan = true;
 };
 
-/// Evaluates one candidate against the scenario set. With `usePlan` (the
-/// default) the candidate is compiled into an evaluation plan and folded
-/// allocation-free; otherwise (or when the design is not plannable, or a
-/// fault injector is installed on `eng`) it goes through `eng`'s cache
-/// (null = the process-wide Engine::shared()). Both paths are bit-identical.
+/// Evaluates one candidate against the scenario set: the design is compiled
+/// into an evaluation plan (engine/plan.hpp) and every scenario folds
+/// allocation-free on the calling thread, bit-identical to the serial
+/// reference. Never throws; failures land in EvaluatedCandidate::error.
+/// The two trailing parameters are unused. They remain only so callers
+/// that still pass an engine and a plan flag keep compiling.
 [[nodiscard]] EvaluatedCandidate evaluateCandidate(
     const CandidateSpec& spec, const WorkloadSpec& workload,
     const BusinessRequirements& business,
     const std::vector<ScenarioCase>& scenarios,
     engine::Engine* eng = nullptr, bool usePlan = true);
 
-/// Evaluates all candidates and ranks them. Candidates fan out across the
-/// engine's thread pool; results are identical to the serial reference.
+/// Evaluates all candidates and ranks them: per-candidate error isolation,
+/// cooperative cancellation and deadline, and checkpoint/resume through an
+/// append-only journal. Candidates fan out across the engine's thread pool
+/// in the same wave loop as searchDesignSpaceStreaming, so streamChunk and
+/// the wave callbacks apply here too. With default options the result is
+/// identical to searchDesignSpaceSerial.
 [[nodiscard]] SearchResult searchDesignSpace(
     const std::vector<CandidateSpec>& candidates, const WorkloadSpec& workload,
     const BusinessRequirements& business,
     const std::vector<ScenarioCase>& scenarios,
-    engine::Engine* eng = nullptr);
-
-/// The fault-tolerant sweep: per-candidate error isolation, cooperative
-/// cancellation and deadline, transient-failure retries, and checkpoint/
-/// resume through an append-only journal. Runs the same wave loop as
-/// searchDesignSpaceStreaming over the vector, so streamChunk and the wave
-/// callbacks apply here too. With default options it produces exactly the
-/// same result as the overload above.
-[[nodiscard]] SearchResult searchDesignSpace(
-    const std::vector<CandidateSpec>& candidates, const WorkloadSpec& workload,
-    const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios, const SearchOptions& options);
+    const SearchOptions& options = {});
 
 /// Streaming sweep: drains `cursor` in SearchOptions::streamChunk-sized
 /// waves, fanning each wave across the engine's pool, so a million-point

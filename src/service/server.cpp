@@ -867,9 +867,6 @@ void Server::runSearch(int fd, std::string bodyText) {
       deadline = std::chrono::milliseconds(
           static_cast<long long>(deadlineMs->asNumber()));
     }
-    if (const Json* path = body.find("checkpointPath")) {
-      searchOptions.checkpointPath = path->asString();
-    }
     if (const Json* delayMs = body.find("waveDelayMs")) {
       // Clamped: a wave delay exists for deterministic mid-sweep kills in
       // tests, not as a general-purpose throttle.

@@ -20,11 +20,14 @@ TimelineTable::TimelineTable(const RpLifecycleSimulator& simulator) {
     if (lvl.continuous) {
       lvl.continuousDelay = pol->holdW().secs() + pol->worstPropW().secs();
     }
-    lvl.isBackup = tech.kind() == TechniqueKind::kBackup;
+    // Only a Backup has an incremental chain; kind() alone does not make a
+    // technique one (a custom technique may report kBackup), the same test
+    // RecoverySimulator applies.
+    const auto* backup = dynamic_cast<const Backup*>(&tech);
+    lvl.isBackup = backup != nullptr;
     if (lvl.isBackup) {
-      const auto& backup = static_cast<const Backup&>(tech);
-      lvl.fullOnly = backup.style() == BackupStyle::kFullOnly;
-      lvl.cumulative = backup.style() == BackupStyle::kCumulativeIncremental;
+      lvl.fullOnly = backup->style() == BackupStyle::kFullOnly;
+      lvl.cumulative = backup->style() == BackupStyle::kCumulativeIncremental;
       lvl.chained = !lvl.fullOnly;
     }
     if (pol != nullptr) {

@@ -65,9 +65,9 @@ struct StochasticOptions {
   ReliabilitySpec reliability;
   /// Batches for the batch-means confidence intervals.
   int ciBatches = 32;
-  /// Run trials through the compiled TrialPlan when the design is
-  /// plannable (bit-identical to the legacy loop, much faster). False
-  /// forces the legacy loop — the differential oracle's reference side.
+  /// Run trials through the compiled TrialPlan (bit-identical to the
+  /// legacy loop, much faster). False forces the legacy loop — the
+  /// differential oracle's reference side.
   bool usePlan = true;
   /// When set, each evaluation records its per-trial samples here, in
   /// trial order (oracle/test hook; not thread-safe across concurrent
@@ -110,7 +110,7 @@ struct ScenarioDistribution {
   Money worstCasePenalty;
 
   /// Trial-loop wall time and throughput for this evaluation, and whether
-  /// the compiled TrialPlan ran it (false = legacy fallback). Timing
+  /// the compiled TrialPlan ran it (false = the legacy loop). Timing
   /// fields vary run to run; everything above is deterministic.
   double wallSeconds = 0.0;
   double trialsPerSec = 0.0;
@@ -143,7 +143,7 @@ struct AnnualizedRisk {
   Distribution annualPenalty;
 
   /// Trial-loop wall time and throughput for this evaluation, and whether
-  /// the compiled TrialPlan ran it (false = legacy fallback). Timing
+  /// the compiled TrialPlan ran it (false = the legacy loop). Timing
   /// fields vary run to run; everything above is deterministic.
   double wallSeconds = 0.0;
   double trialsPerSec = 0.0;
@@ -176,8 +176,8 @@ class StochasticEvaluator {
     return options_;
   }
 
-  /// True when trials run through the compiled TrialPlan (usePlan was set
-  /// and the design is plannable); false = legacy loop.
+  /// True when trials run through the compiled TrialPlan (usePlan was
+  /// set); false = legacy loop.
   [[nodiscard]] bool usingPlan() const noexcept { return plan_ != nullptr; }
 
  private:

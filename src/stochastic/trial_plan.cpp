@@ -39,11 +39,8 @@ std::shared_ptr<const TrialPlan> TrialPlan::compile(
     const sim::RpLifecycleSimulator& simulator,
     const ReliabilitySpec& reliability) {
   const StorageDesign& design = simulator.design();
-  auto evalPlan = engine::EvalPlan::compile(design);
-  if (evalPlan == nullptr) return nullptr;
-
   std::shared_ptr<TrialPlan> plan(new TrialPlan(simulator));
-  plan->evalPlan_ = std::move(evalPlan);
+  plan->evalPlan_ = engine::EvalPlan::compile(design);
   plan->levelCount_ = design.levelCount();
   plan->lo_ = simulator.warmupTime();
   plan->hi_ = simulator.horizon();

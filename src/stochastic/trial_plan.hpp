@@ -30,8 +30,8 @@
 // differential oracle (src/verify/differential.cpp) enforces per-trial
 // equality over the generated corpus.
 //
-// Unplannable designs (EvalPlan::compile returns nullptr) have no trial
-// plan either; StochasticEvaluator falls back to the legacy loop.
+// Every design the simulator accepts compiles (EvalPlan::compile is total),
+// so StochasticEvaluator runs the legacy loop only when asked to.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,8 @@ struct TrialTrace {
 class TrialPlan {
  public:
   /// Compiles `simulator` (which must have been run()) plus the resolved
-  /// `reliability` block. Returns nullptr when the design is not plannable
-  /// (caller must use the legacy trial loop). The plan copies or owns
-  /// everything it needs; the simulator may be destroyed afterwards.
+  /// `reliability` block; never null. The plan copies or owns everything it
+  /// needs; the simulator may be destroyed afterwards.
   [[nodiscard]] static std::shared_ptr<const TrialPlan> compile(
       const sim::RpLifecycleSimulator& simulator,
       const ReliabilitySpec& reliability);

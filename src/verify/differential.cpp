@@ -207,9 +207,6 @@ OracleResult stochasticPlanOracle(const CaseSpec& spec,
 
     const stochastic::StochasticEvaluator viaPlan(makeDesign(spec), planOpt);
     const stochastic::StochasticEvaluator legacy(std::move(design), legacyOpt);
-    // Plan compiler rejected the design: the evaluator already fell back to
-    // the legacy loop, so both sides are the same code path.
-    if (!viaPlan.usingPlan()) return notApplicable(kName);
 
     const auto planCond = viaPlan.distributionFor(scenario);
     const auto legacyCond = legacy.distributionFor(scenario);
@@ -345,8 +342,10 @@ OracleResult searchParityOracle(const CaseSpec& spec,
     const opt::SearchResult serial =
         opt::searchDesignSpaceSerial(candidates, workload, business, scenarios);
     engine::Engine eng(engine::EngineOptions{.threads = options.searchThreads});
-    const opt::SearchResult parallel =
-        opt::searchDesignSpace(candidates, workload, business, scenarios, &eng);
+    opt::SearchOptions searchOptions;
+    searchOptions.eng = &eng;
+    const opt::SearchResult parallel = opt::searchDesignSpace(
+        candidates, workload, business, scenarios, searchOptions);
 
     const auto compare = [&](const std::vector<opt::EvaluatedCandidate>& a,
                              const std::vector<opt::EvaluatedCandidate>& b,
@@ -394,7 +393,6 @@ OracleResult planVsLegacyOracle(const CaseSpec& spec) {
     const StorageDesign design = makeDesign(spec);
     const std::shared_ptr<const engine::EvalPlan> plan =
         engine::EvalPlan::compile(design);
-    if (plan == nullptr) return notApplicable(kName);
 
     // The generated scenario plus a site-disaster variant, so every case
     // exercises both a partial and a total failure against the same plan.

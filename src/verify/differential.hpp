@@ -80,9 +80,7 @@ struct OracleOptions {
 /// (recoverable, RT, DL, payload, penalty), every mission trial (event
 /// count, unrecoverable count, penalty, loss bytes, downtime, per-event
 /// RT/DL) and the deterministic envelope summaries must match bit-for-bit.
-/// Same applicability guards as stochasticBoundOracle, plus the plan
-/// compiler accepting the design (rejection means the evaluator already
-/// runs the legacy loop on both sides).
+/// Same applicability guards as stochasticBoundOracle.
 [[nodiscard]] OracleResult stochasticPlanOracle(
     const CaseSpec& spec, const OracleOptions& options = {});
 
@@ -98,8 +96,7 @@ struct OracleOptions {
 /// legacy evaluate() pipeline. Every metric — feasibility, recoverability,
 /// source level, RT, DL, payload, outlays, penalties, total cost, the
 /// RTO/RPO verdict, and the utilization error string — must match
-/// bit-for-bit. Not applicable when the plan compiler rejects the design
-/// (the engine then falls back to the legacy path by construction).
+/// bit-for-bit.
 [[nodiscard]] OracleResult planVsLegacyOracle(const CaseSpec& spec);
 
 /// saveDesign -> loadDesign -> saveDesign fixpoint, plus bit-identical

@@ -245,20 +245,6 @@ void expectBitIdentical(const EvaluationResult& a, const EvaluationResult& b) {
   EXPECT_EQ(a.warnings, b.warnings);
 }
 
-TEST(Determinism, PrecomputedEvaluationMatchesPlain) {
-  // The hoisted scenario-independent sub-models compose to bit-identical
-  // results (the outlays-hoisting fix in optimizer::search rests on this).
-  for (const auto& [label, design] : cs::allWhatIfDesigns()) {
-    const DesignPrecomputation pre = precomputeDesign(design);
-    for (const FailureScenario& scenario :
-         {cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()}) {
-      const EvaluationResult plain = evaluate(design, scenario);
-      const EvaluationResult hoisted = evaluate(design, scenario, pre);
-      expectBitIdentical(plain, hoisted);
-    }
-  }
-}
-
 TEST(Determinism, BatchMatchesSerialOnCaseStudyDesigns) {
   // The Table 5/6/7 designs under all three scenarios: an engine batch at
   // full parallelism, twice (cold cache, then warm), against direct serial
@@ -304,64 +290,28 @@ TEST(Determinism, EngineBackedSearchMatchesSerialReference) {
       candidates, cs::celloWorkload(), cs::requirements(), scenarios);
 
   Engine engine(EngineOptions{.threads = 4});
-  // Pin the legacy cache-backed path: this test is specifically about the
-  // keyed evaluate/cache machinery (plan-path parity is covered by
-  // test_plan and the plan-vs-legacy oracle).
-  opt::SearchOptions legacy;
-  legacy.eng = &engine;
-  legacy.maxRetries = 0;
-  legacy.usePlan = false;
+  opt::SearchOptions options;
+  options.eng = &engine;
   const opt::SearchResult parallel =
       opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                             cs::requirements(), scenarios, legacy);
-  // And a second engine-backed run, now fully cache-hot.
-  const opt::SearchResult cached =
-      opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                             cs::requirements(), scenarios, legacy);
+                             cs::requirements(), scenarios, options);
 
-  for (const opt::SearchResult* result : {&parallel, &cached}) {
-    EXPECT_EQ(result->evaluated, serial.evaluated);
-    ASSERT_EQ(result->ranked.size(), serial.ranked.size());
-    ASSERT_EQ(result->rejected.size(), serial.rejected.size());
-    for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
-      EXPECT_EQ(result->ranked[i].label, serial.ranked[i].label);
-      EXPECT_EQ(result->ranked[i].totalCost.raw(),
-                serial.ranked[i].totalCost.raw());
-      EXPECT_EQ(result->ranked[i].outlays.raw(),
-                serial.ranked[i].outlays.raw());
-      EXPECT_EQ(result->ranked[i].weightedPenalties.raw(),
-                serial.ranked[i].weightedPenalties.raw());
-      EXPECT_EQ(result->ranked[i].worstRecoveryTime.raw(),
-                serial.ranked[i].worstRecoveryTime.raw());
-      EXPECT_EQ(result->ranked[i].worstDataLoss.raw(),
-                serial.ranked[i].worstDataLoss.raw());
-    }
+  EXPECT_EQ(parallel.evaluated, serial.evaluated);
+  ASSERT_EQ(parallel.ranked.size(), serial.ranked.size());
+  ASSERT_EQ(parallel.rejected.size(), serial.rejected.size());
+  for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
+    EXPECT_EQ(parallel.ranked[i].label, serial.ranked[i].label);
+    EXPECT_EQ(parallel.ranked[i].totalCost.raw(),
+              serial.ranked[i].totalCost.raw());
+    EXPECT_EQ(parallel.ranked[i].outlays.raw(),
+              serial.ranked[i].outlays.raw());
+    EXPECT_EQ(parallel.ranked[i].weightedPenalties.raw(),
+              serial.ranked[i].weightedPenalties.raw());
+    EXPECT_EQ(parallel.ranked[i].worstRecoveryTime.raw(),
+              serial.ranked[i].worstRecoveryTime.raw());
+    EXPECT_EQ(parallel.ranked[i].worstDataLoss.raw(),
+              serial.ranked[i].worstDataLoss.raw());
   }
-  EXPECT_GT(engine.cache().stats().hitRate(), 0.4);  // the re-run was free
-}
-
-TEST(Determinism, RepeatedSweepHitRate) {
-  // A repeated sweep over the same space must be >= 90% cache hits (the
-  // PR's headline cache criterion, scaled down to test size).
-  Engine engine(EngineOptions{.threads = 2});
-  const auto candidates = opt::enumerateDesignSpace();
-  const auto scenarios = opt::caseStudyScenarios();
-  opt::SearchOptions legacy;  // the criterion is about the cache: pin it on
-  legacy.eng = &engine;
-  legacy.maxRetries = 0;
-  legacy.usePlan = false;
-  (void)opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                               cs::requirements(), scenarios, legacy);
-  const EvalCache::Stats before = engine.cache().stats();
-  (void)opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                               cs::requirements(), scenarios, legacy);
-  const EvalCache::Stats after = engine.cache().stats();
-
-  const auto hits = static_cast<double>(after.hits - before.hits);
-  const auto lookups = static_cast<double>((after.hits + after.misses) -
-                                           (before.hits + before.misses));
-  ASSERT_GT(lookups, 0.0);
-  EXPECT_GE(hits / lookups, 0.9);
 }
 
 TEST(Determinism, RefineMatchesAcrossEngines) {
@@ -567,7 +517,7 @@ TEST(SingleFlight, WarmBatchStatsIgnoreConcurrentColdMisses) {
     FailureScenario scenario = cs::objectFailure();
     for (int age = 1; !stop.load() && age <= 20'000; ++age) {
       scenario.recoveryTargetAge = seconds(age);
-      (void)engine.evaluate(design, scenario);
+      (void)engine.tryEvaluate(design, scenario);
       coldMisses.fetch_add(1);
     }
   });

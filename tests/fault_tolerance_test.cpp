@@ -673,19 +673,20 @@ TEST(CheckpointResume, DeadlineInterruptedSweepResumesToTheSameRanking) {
   const opt::SearchResult serial =
       opt::searchDesignSpaceSerial(candidates, workload, business, scenarios);
 
-  // ~6 ms of injected latency per candidate against a 60 ms sweep deadline:
-  // the sweep is interrupted with most candidates un-started.
+  // Two-candidate waves 10 ms apart against a 60 ms sweep deadline: the
+  // first wave finishes at once, the deadline lands a few waves in, and a
+  // space of more than ten waves cannot finish before it.
+  ASSERT_GT(candidates.size(), 2u * 10u);
   const std::string path = tempPath("stordep_journal_deadline.jsonl");
-  eng::Engine slow(eng::EngineOptions{.threads = 1});
-  eng::FaultPlan plan;
-  plan.latency = microseconds{2'000};
-  slow.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
+  eng::Engine paced(eng::EngineOptions{.threads = 1});
 
   opt::SearchOptions interrupted;
-  interrupted.eng = &slow;
+  interrupted.eng = &paced;
   interrupted.deadline = milliseconds{60};
   interrupted.checkpointPath = path;
   interrupted.checkpointEvery = 1;
+  interrupted.streamChunk = 2;
+  interrupted.waveDelay = milliseconds{10};
   const opt::SearchResult partial = opt::searchDesignSpace(
       candidates, workload, business, scenarios, interrupted);
   EXPECT_TRUE(partial.cancelled);

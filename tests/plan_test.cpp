@@ -2,10 +2,10 @@
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
 // reuse/rewind protocol, plan-compilation determinism (recompiled designs
-// evaluate to the same bits), the fallback to the legacy evaluator for
-// un-plannable designs, and — the thread-determinism satellite — that a cold
-// plan-routed search returns bit-identical rankings at 1/2/4/8 threads (this
-// binary also runs under TSan in CI).
+// evaluate to the same bits), hand-written designs the generator never
+// produces (restore legs with missing endpoints, null storage devices), and
+// that a cold plan-routed search returns bit-identical rankings at 1/2/4/8
+// threads (this binary also runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -211,17 +211,18 @@ TEST(PlanEvaluate, RepeatedEvalsReuseArenaWithoutGrowth) {
   EXPECT_EQ(arena.used(), 0u);  // every eval rewound its frame
 }
 
-// ---- Fallback for un-plannable designs -------------------------------------
+// ---- Designs outside the generated corpus ---------------------------------
 
-/// A technique whose restore path has a missing endpoint: the legacy
-/// evaluator reports it via a diagnostic note, which the plan tables cannot
-/// represent — compile() must reject the design and the engine must fall
-/// back to the legacy evaluator.
-class BrokenRestoreTechnique final : public stordep::Technique {
+/// A technique whose storage devices and restore legs are given verbatim, so
+/// a test can build the malformed shapes no built-in technique constructor
+/// accepts: restore legs with missing endpoints, null storage devices.
+class ScriptedTechnique final : public stordep::Technique {
  public:
-  explicit BrokenRestoreTechnique(stordep::DevicePtr storage)
-      : Technique("broken restore", stordep::TechniqueKind::kBackup),
+  ScriptedTechnique(std::string name, std::vector<stordep::DevicePtr> storage,
+                    std::vector<stordep::RecoveryLeg> legs)
+      : Technique(std::move(name), stordep::TechniqueKind::kBackup),
         storage_(std::move(storage)),
+        legs_(std::move(legs)),
         policy_(stordep::WindowSpec{stordep::hours(24), stordep::hours(1),
                                     stordep::Duration::zero()},
                 /*retentionCount=*/2, stordep::days(14)) {}
@@ -232,7 +233,7 @@ class BrokenRestoreTechnique final : public stordep::Technique {
   }
   [[nodiscard]] std::vector<stordep::DevicePtr> storageDevices()
       const override {
-    return {storage_};
+    return storage_;
   }
   [[nodiscard]] std::vector<stordep::PlacedDemand> normalModeDemands(
       const stordep::WorkloadSpec&) const override {
@@ -240,32 +241,126 @@ class BrokenRestoreTechnique final : public stordep::Technique {
   }
   [[nodiscard]] std::vector<stordep::RecoveryLeg> recoveryLegs(
       stordep::DevicePtr) const override {
-    return {stordep::RecoveryLeg{nullptr, nullptr, nullptr,
-                                 stordep::Duration::zero()}};
+    return legs_;
   }
 
  private:
-  stordep::DevicePtr storage_;
+  std::vector<stordep::DevicePtr> storage_;
+  std::vector<stordep::RecoveryLeg> legs_;
   stordep::ProtectionPolicy policy_;
 };
 
-stordep::StorageDesign brokenRestoreDesign() {
+/// A two-level design: the primary array at "primary site", then `level`.
+stordep::StorageDesign designWith(const std::string& name,
+                                  stordep::TechniquePtr level) {
   auto primary = stordep::catalog::midrangeDiskArray(
       "primary array", stordep::Location::at("primary site"));
-  auto offsite = stordep::catalog::midrangeDiskArray(
-      "offsite array", stordep::Location::at("offsite"));
   std::vector<stordep::TechniquePtr> levels;
   levels.push_back(std::make_shared<stordep::PrimaryCopy>(primary));
-  levels.push_back(std::make_shared<BrokenRestoreTechnique>(offsite));
-  return stordep::StorageDesign("broken restore design", cs::celloWorkload(),
-                                cs::requirements(), std::move(levels));
+  levels.push_back(std::move(level));
+  return stordep::StorageDesign(name, cs::celloWorkload(), cs::requirements(),
+                                std::move(levels));
 }
 
-TEST(PlanFallback, UnplannableDesignCompilesToNull) {
-  EXPECT_EQ(EvalPlan::compile(brokenRestoreDesign()), nullptr);
+/// Level 1 keeps its RPs offsite, and its only restore leg has no endpoints.
+stordep::StorageDesign brokenRestoreDesign() {
+  auto offsite = stordep::catalog::midrangeDiskArray(
+      "offsite array", stordep::Location::at("offsite"));
+  return designWith(
+      "broken restore design",
+      std::make_shared<ScriptedTechnique>(
+          "broken restore", std::vector<stordep::DevicePtr>{offsite},
+          std::vector<stordep::RecoveryLeg>{stordep::RecoveryLeg{
+              nullptr, nullptr, nullptr, stordep::Duration::zero()}}));
+}
+
+TEST(PlanFallback, BrokenRestoreDesignCompilesAndMatchesLegacy) {
+  const stordep::StorageDesign design = brokenRestoreDesign();
+  const auto plan = EvalPlan::compile(design);
+  ASSERT_NE(plan, nullptr);
+  BumpArena arena;
+  for (const auto& [scenarioName, scenario] : namedScenarios()) {
+    expectMetricsBitIdentical(
+        plan->evaluate(scenario, arena),
+        stordep::summarizeEvaluation(stordep::evaluate(design, scenario)),
+        scenarioName);
+  }
+  // The object failure corrupts the primary, so level 1 is the source and
+  // its broken restore path leaves the object unrecoverable.
+  const stordep::EvaluationMetrics object =
+      plan->evaluate(cs::objectFailure(), arena);
+  EXPECT_EQ(object.sourceLevel, 1);
+  EXPECT_FALSE(object.recoverable);
+  EXPECT_TRUE(object.dataLoss.isFinite());
+}
+
+TEST(PlanFallback, SecondLegWithoutEndpointWalksTheFirstLeg) {
+  // Level 1 restores offsite -> staging array (at the primary site), then
+  // staging -> nothing: recoverFrom() walks the first leg before it gives
+  // up at the second.
+  auto offsite = stordep::catalog::midrangeDiskArray(
+      "offsite array", stordep::Location::at("offsite"));
+  auto staging = stordep::catalog::midrangeDiskArray(
+      "staging array", stordep::Location::at("primary site"));
+  const stordep::StorageDesign design = designWith(
+      "two-leg restore design",
+      std::make_shared<ScriptedTechnique>(
+          "two-leg restore", std::vector<stordep::DevicePtr>{offsite},
+          std::vector<stordep::RecoveryLeg>{
+              stordep::RecoveryLeg{offsite, staging, nullptr,
+                                   stordep::minutes(5)},
+              stordep::RecoveryLeg{staging, nullptr, nullptr,
+                                   stordep::Duration::zero()}}));
+  const auto plan = EvalPlan::compile(design);
+  ASSERT_NE(plan, nullptr);
+  BumpArena arena;
+
+  // Viable first leg: nothing is destroyed, the staging array receives the
+  // payload, and the missing endpoint then makes the path unrecoverable
+  // with the source's finite data loss.
+  const stordep::FailureScenario corrupt = cs::objectFailure();
+  // Unviable first leg: the site disaster takes the primary and the staging
+  // array, and there is no recovery facility to replace them, so the
+  // object is lost (infinite data loss) before the missing endpoint.
+  const stordep::FailureScenario site =
+      stordep::FailureScenario::siteDisaster("primary site");
+  for (const auto& [name, scenario] :
+       std::vector<std::pair<std::string, stordep::FailureScenario>>{
+           {"first leg viable", corrupt}, {"first leg unviable", site}}) {
+    expectMetricsBitIdentical(
+        plan->evaluate(scenario, arena),
+        stordep::summarizeEvaluation(stordep::evaluate(design, scenario)),
+        name);
+  }
+  const stordep::EvaluationMetrics viable = plan->evaluate(corrupt, arena);
+  EXPECT_EQ(viable.sourceLevel, 1);
+  EXPECT_FALSE(viable.recoverable);
+  EXPECT_FALSE(viable.recoveryTime.isFinite());
+  EXPECT_TRUE(viable.dataLoss.isFinite());
+  const stordep::EvaluationMetrics lost = plan->evaluate(site, arena);
+  EXPECT_EQ(lost.sourceLevel, 1);
+  EXPECT_FALSE(lost.recoverable);
+  EXPECT_FALSE(lost.dataLoss.isFinite());
+}
+
+TEST(PlanFallback, NullStorageDeviceThrowsDesignError) {
+  const stordep::StorageDesign design = designWith(
+      "null storage design",
+      std::make_shared<ScriptedTechnique>(
+          "null storage", std::vector<stordep::DevicePtr>{nullptr},
+          std::vector<stordep::RecoveryLeg>{}));
+  try {
+    (void)EvalPlan::compile(design);
+    ADD_FAILURE() << "compile accepted a null storage device";
+  } catch (const stordep::DesignError& e) {
+    EXPECT_NE(std::string(e.what()).find("'null storage'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlanFallback, MatrixFallsBackToLegacyForUnplannableDesigns) {
+  // Every design compiles, the broken-restore one included: the matrix has
+  // no legacy rows, and each row equals the legacy evaluator's.
   const auto designs = std::vector<std::shared_ptr<const stordep::StorageDesign>>{
       std::make_shared<const stordep::StorageDesign>(cs::baseline()),
       std::make_shared<const stordep::StorageDesign>(brokenRestoreDesign())};
@@ -279,8 +374,7 @@ TEST(PlanFallback, MatrixFallsBackToLegacyForUnplannableDesigns) {
 
   ASSERT_EQ(matrix.size(), designs.size() * scenarios.size());
   EXPECT_EQ(stats.pairs, matrix.size());
-  EXPECT_EQ(stats.planCompiles, 1u);      // baseline
-  EXPECT_EQ(stats.planIncompatible, 1u);  // broken-restore design
+  EXPECT_EQ(stats.planCompiles, designs.size());
   for (std::size_t d = 0; d < designs.size(); ++d) {
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       const stordep::EvaluationMetrics legacy = stordep::summarizeEvaluation(
@@ -293,18 +387,19 @@ TEST(PlanFallback, MatrixFallsBackToLegacyForUnplannableDesigns) {
 }
 
 TEST(PlanFallback, SearchStillRanksUnplannableDesignSpaces) {
-  // evaluateCandidate's plan routing must agree with the forced-legacy path
-  // even though these candidates compile fine — and the plan default must
-  // not change any public search results.
+  // evaluateCandidate's plan route agrees field for field with the serial
+  // reference, which runs the legacy evaluate().
   const auto candidates = opt::enumerateDesignSpace();
   const auto scenarios = opt::caseStudyScenarios();
   ASSERT_FALSE(candidates.empty());
   const opt::EvaluatedCandidate viaPlan = opt::evaluateCandidate(
-      candidates.front(), cs::celloWorkload(), cs::requirements(), scenarios,
-      nullptr, /*usePlan=*/true);
-  const opt::EvaluatedCandidate legacy = opt::evaluateCandidate(
-      candidates.front(), cs::celloWorkload(), cs::requirements(), scenarios,
-      nullptr, /*usePlan=*/false);
+      candidates.front(), cs::celloWorkload(), cs::requirements(), scenarios);
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      {candidates.front()}, cs::celloWorkload(), cs::requirements(),
+      scenarios);
+  ASSERT_EQ(serial.evaluated, 1);
+  const opt::EvaluatedCandidate& legacy =
+      serial.ranked.empty() ? serial.rejected.front() : serial.ranked.front();
   EXPECT_EQ(viaPlan.label, legacy.label);
   EXPECT_EQ(viaPlan.feasible, legacy.feasible);
   EXPECT_EQ(viaPlan.meetsObjectives, legacy.meetsObjectives);
@@ -353,8 +448,6 @@ TEST(PlanDeterminism, ColdGridSearchBitIdenticalAcrossThreadCounts) {
     Engine engine(EngineOptions{.threads = threads});
     opt::SearchOptions options;
     options.eng = &engine;
-    options.maxRetries = 0;
-    ASSERT_TRUE(options.usePlan);  // the cold fast path is the default
     const opt::SearchResult result = opt::searchDesignSpace(
         candidates, workload, business, scenarios, options);
     EXPECT_EQ(result.evaluated, static_cast<int>(candidates.size()));

@@ -18,7 +18,8 @@
 //     task is in flight never has its answer land on the next connection,
 //     a response larger than the socket takes is finished by the loop
 //     before a pipelined follow-up is answered, and a pipelined request read
-//     while the task before it runs is answered as soon as that task is done.
+//     while the task before it runs is answered as soon as that task is done;
+//   * /v1/search never writes a file path sent in its request body.
 //
 // Work is held in flight by injected evaluation latency (a FaultInjector
 // that slows kEvaluate and never fails it), not by timing races.
@@ -31,6 +32,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -657,6 +661,40 @@ TEST(ServiceLoopback, SearchStreamsProgressThenResult) {
   EXPECT_GT(last.at("result").at("evaluated").asNumber(), 0.0);
   EXPECT_LE(last.at("result").at("top").asArray().size(), 3u);
   server.shutdown();
+}
+
+TEST(ServiceLoopback, SearchNeverWritesAPathFromTheRequestBody) {
+  // A client must not choose a file for the server to overwrite: a
+  // "checkpointPath" in a /v1/search body is ignored, so a file at that path
+  // keeps its bytes (a journal would have replaced them).
+  const std::string path =
+      ::testing::TempDir() + "stordep_search_body_checkpoint.txt";
+  const std::string original = "not a journal\nsecond line\n";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << original;
+  }
+
+  Server server;
+  server.start();
+  Client client("127.0.0.1", server.port());
+  Json body{JsonObject{}};
+  body.set("top", Json(1));
+  body.set("checkpointPath", Json(path));
+  std::vector<std::string> lines;
+  const HttpClientResponse response = client.postStreaming(
+      "/v1/search", body.dump(),
+      [&](std::string_view line) { lines.emplace_back(line); });
+  server.shutdown();
+  EXPECT_EQ(response.status, 200);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(Json::parse(lines.back()).find("result"), nullptr);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string after{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, original);
+  std::filesystem::remove(path);
 }
 
 // ---- Gen-seeded loopback fuzz ----------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the compiled stochastic TrialPlan: bit-identity with the legacy
 // trial loop across thread counts (conditional and mission sampling), arena
-// reuse across evaluations, and the legacy fallback for designs the plan
-// compiler rejects. Sample comparisons are field-wise — never whole-struct
+// reuse across evaluations, and a hand-written design whose restore leg has
+// no endpoints. Sample comparisons are field-wise — never whole-struct
 // memcmp, which would compare padding bytes.
 #include "stochastic/trial_plan.hpp"
 
@@ -175,11 +175,11 @@ TEST(StochasticPlan, MissionTrialsReuseTheThreadArena) {
   }
 }
 
-// ---- Fallback for un-plannable designs -------------------------------------
+// ---- Restore legs with missing endpoints -----------------------------------
 
-/// A technique whose restore path has a missing endpoint: EvalPlan::compile
-/// rejects it, so TrialPlan::compile must too, and the evaluator must route
-/// every trial through the legacy loop regardless of usePlan.
+/// A technique whose restore path has a missing endpoint: the compiled plan
+/// marks its level unrecoverable, so every trial that restores from it is
+/// unrecoverable, as in the legacy loop.
 class BrokenRestoreTechnique final : public stordep::Technique {
  public:
   explicit BrokenRestoreTechnique(stordep::DevicePtr storage)
@@ -231,7 +231,7 @@ TEST(StochasticPlanFallback, UnplannableDesignRunsLegacyLoop) {
       brokenRestoreDesign(), optionsFor(1, /*usePlan=*/true, &requested));
   const StochasticEvaluator legacy(
       brokenRestoreDesign(), optionsFor(1, /*usePlan=*/false, &forced));
-  EXPECT_FALSE(wantsPlan.usingPlan());  // compile rejected -> fallback
+  EXPECT_TRUE(wantsPlan.usingPlan());  // compile is total
   EXPECT_FALSE(legacy.usingPlan());
 
   const FailureScenario scenario = cs::arrayFailure();
@@ -239,7 +239,7 @@ TEST(StochasticPlanFallback, UnplannableDesignRunsLegacyLoop) {
   const auto b = legacy.distributionFor(scenario);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(a.value().usedPlan);
+  EXPECT_TRUE(a.value().usedPlan);
   expectSameConditional(requested, forced);
 
   requested.mission.clear();
@@ -248,7 +248,7 @@ TEST(StochasticPlanFallback, UnplannableDesignRunsLegacyLoop) {
   const auto mb = legacy.annualizedRisk();
   ASSERT_TRUE(ma.ok());
   ASSERT_TRUE(mb.ok());
-  EXPECT_FALSE(ma.value().usedPlan);
+  EXPECT_TRUE(ma.value().usedPlan);
   expectSameMission(requested, forced);
 }
 

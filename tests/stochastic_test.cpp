@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <set>
 #include <string>
 #include <vector>
@@ -424,6 +425,60 @@ TEST(ExpectedPenaltyObjective, NeverExceedsWorstCasePenalties) {
         << e.label;
     EXPECT_EQ(e.outlays.usd(), match->outlays.usd()) << e.label;
   }
+}
+
+TEST(ExpectedPenaltyObjective, PenaltiesComposePerScenarioFromSamplerOrAnalytic) {
+  // Each ranked candidate's penalty term is, scenario by scenario in order,
+  // the sampler's expected penalty — or the analytic worst-case penalty
+  // where the sampler cannot serve the scenario — times the scenario weight.
+  const std::vector<optimizer::CandidateSpec> candidates = smallCandidateSet();
+  const WorkloadSpec workload = cs::celloWorkload();
+  const BusinessRequirements business = cs::requirements();
+  std::vector<optimizer::ScenarioCase> scenarios =
+      optimizer::caseStudyScenarios();
+  scenarios[1].weight = 2.5;  // a non-unit weight shows the multiplication
+
+  optimizer::SearchOptions options;
+  options.objective = optimizer::Objective::kExpectedPenalty;
+  options.stochasticTrials = 128;
+  options.stochasticSeed = 7;
+  const optimizer::SearchResult result = optimizer::searchDesignSpace(
+      candidates, workload, business, scenarios, options);
+  ASSERT_FALSE(result.ranked.empty());
+
+  StochasticOptions sopt;
+  sopt.trials = options.stochasticTrials;
+  sopt.seed = options.stochasticSeed;
+  sopt.threads = 1;
+  int sampled = 0;
+  for (const optimizer::EvaluatedCandidate& c : result.ranked) {
+    const StorageDesign design = c.spec.build(workload, business);
+    const auto analytic = [&](const optimizer::ScenarioCase& sc) {
+      return evaluate(design, sc.scenario).cost.totalPenalties * sc.weight;
+    };
+    Money expected = Money::zero();
+    try {
+      const StochasticEvaluator sampler(design, sopt);
+      for (const optimizer::ScenarioCase& sc : scenarios) {
+        const auto dist = sampler.distributionFor(sc.scenario);
+        if (dist.ok() && dist.value().expectedPenalty.isFinite()) {
+          expected += dist.value().expectedPenalty * sc.weight;
+          ++sampled;
+        } else {
+          expected += analytic(sc);
+        }
+      }
+    } catch (const std::exception&) {
+      // The simulator rejected the design: every scenario stays analytic.
+      expected = Money::zero();
+      for (const optimizer::ScenarioCase& sc : scenarios) {
+        expected += analytic(sc);
+      }
+    }
+    EXPECT_EQ(c.weightedPenalties.raw(), expected.raw()) << c.label;
+    EXPECT_EQ(c.totalCost.raw(), (c.outlays + expected).raw()) << c.label;
+  }
+  EXPECT_GT(sampled, 0);  // the sampler served at least one scenario
 }
 
 TEST(ExpectedPenaltyObjective, DefaultObjectiveStaysBitIdenticalToSerial) {
