@@ -3,8 +3,8 @@
 // "Range of RPs guaranteed to be present at a level": for each level of the
 // baseline hierarchy, the time lag (youngest guaranteed RP age) and the
 // oldest guaranteed RP age, plus an ASCII timeline rendering of the
-// guaranteed window, cross-validated against the discrete-event simulation
-// of the actual RP schedules.
+// guaranteed window, cross-validated against the simulated RP schedules
+// (sim/rp_simulator.hpp).
 #include <algorithm>
 #include <iostream>
 

@@ -4,7 +4,7 @@
 // design-optimization system, so evaluation throughput matters. These
 // benchmarks measure the cost of a full evaluate() (all four output
 // metrics), its sub-models, design-space search, JSON round-trips, and the
-// discrete-event simulator's event rate.
+// RP-lifecycle simulator's schedule walk and data-loss queries.
 #include <benchmark/benchmark.h>
 
 #include "casestudy/casestudy.hpp"

@@ -14,7 +14,9 @@
 //                         budget elapses (the partial ranking is printed)
 //   --checkpoint=PATH     journal completed candidates to PATH; re-running
 //                         with the same arguments resumes where it stopped
-//                         and produces the exact uninterrupted ranking
+//                         and produces the exact uninterrupted ranking. A
+//                         PATH holding some other file is refused (exit 1)
+//                         and left untouched
 //
 // Note that the scenario set includes a 24-hour-rollback object failure, so
 // very tight RPOs (e.g. 1 h) are unsatisfiable by construction: a level that
@@ -28,6 +30,7 @@
 #include <string>
 
 #include "casestudy/casestudy.hpp"
+#include "config/design_io.hpp"
 #include "optimizer/refine.hpp"
 #include "optimizer/search.hpp"
 #include "report/report.hpp"
@@ -71,9 +74,15 @@ int main(int argc, char** argv) {
   std::cout << "\n\n";
 
   const auto candidates = opt::enumerateDesignSpace();
-  const opt::SearchResult result =
-      opt::searchDesignSpace(candidates, cs::celloWorkload(), business,
-                             opt::caseStudyScenarios(), searchOptions);
+  opt::SearchResult result;
+  try {
+    result = opt::searchDesignSpace(candidates, cs::celloWorkload(), business,
+                                    opt::caseStudyScenarios(), searchOptions);
+  } catch (const stordep::config::DesignIoError& e) {
+    // The checkpoint file could not be used (or is not a journal).
+    std::cerr << "design_advisor: " << e.what() << "\n";
+    return 1;
+  }
 
   std::cout << "evaluated " << result.evaluated << " candidate designs ("
             << result.ranked.size() << " feasible and objective-meeting, "

@@ -2,9 +2,9 @@
 //
 // The paper computes *worst-case* recent data loss from window arithmetic
 // and lists validation against real recovery behaviour as future work. This
-// example closes that loop in simulation: it executes every level's actual
-// RP creation/propagation/retention schedule on the discrete-event engine,
-// injects thousands of failures, and compares the achieved data loss
+// example closes that loop in simulation: it walks every level's actual
+// RP creation/propagation/retention schedule in time order, injects
+// thousands of failures, and compares the achieved data loss
 // against the analytic bound — per scenario, for the baseline design.
 //
 //   $ ./simulate_validation

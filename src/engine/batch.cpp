@@ -1,6 +1,5 @@
 #include "engine/batch.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -15,17 +14,6 @@ int resolveThreads(int requested) {
   if (requested >= 1) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/// Backoff before retry `attempt` (0-based): base * 2^attempt, capped.
-std::chrono::milliseconds backoffFor(const BatchOptions& options,
-                                     int attempt) {
-  if (options.retryBackoff.count() <= 0) return std::chrono::milliseconds{0};
-  std::chrono::milliseconds delay = options.retryBackoff;
-  for (int i = 0; i < attempt && delay < BatchOptions::kMaxRetryBackoff; ++i) {
-    delay *= 2;
-  }
-  return std::min(delay, BatchOptions::kMaxRetryBackoff);
 }
 }  // namespace
 
@@ -92,20 +80,14 @@ EvalOutcome Engine::tryEvaluateKeyed(const StorageDesign& design,
                                      const FailureScenario& scenario,
                                      const Fingerprint& pairKey,
                                      const BatchOptions& options,
-                                     std::uint64_t* retriesOut, bool* hitOut) {
-  const int maxRetries = std::max(0, options.maxRetries);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return EvalOutcome(
-          evaluateKeyed(design, scenario, pairKey, options.token, hitOut));
-    } catch (...) {
-      EvalError error = errorFromCurrentException();
-      error.attempts = attempt + 1;
-      if (!isRetryable(error) || attempt >= maxRetries) return error;
-      if (retriesOut != nullptr) ++*retriesOut;
-      const std::chrono::milliseconds delay = backoffFor(options, attempt);
-      if (delay.count() > 0) std::this_thread::sleep_for(delay);
-    }
+                                     bool* hitOut) {
+  try {
+    return EvalOutcome(
+        evaluateKeyed(design, scenario, pairKey, options.token, hitOut));
+  } catch (...) {
+    EvalError error = errorFromCurrentException();
+    error.attempts = 1;  // also for a token's error, which carries 0
+    return error;
   }
 }
 
@@ -174,7 +156,6 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   std::atomic<std::uint64_t> computed{0};
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> cancelled{0};
-  std::atomic<std::uint64_t> retries{0};
 
   auto evaluateOne = [&](std::size_t i) -> EvalOutcome {
     const EvalRequest& request = requests[i];
@@ -190,15 +171,12 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
     if (cancellable && token.cancelled()) return token.toError();
 
     const Fingerprint key = combine(entry.fp, scenarioFps[i]);
-    // The pool site stands in for dispatch-layer faults; it is not retried.
+    // The pool site stands in for dispatch-layer faults.
     if (injector_) injector_->maybeInject(FaultSite::kPool, key);
 
-    std::uint64_t localRetries = 0;
     bool hit = false;
     EvalOutcome outcome = tryEvaluateKeyed(*request.design, request.scenario,
-                                           key, slotOptions, &localRetries,
-                                           &hit);
-    retries.fetch_add(localRetries, std::memory_order_relaxed);
+                                           key, slotOptions, &hit);
     if (outcome.ok()) {
       (hit ? hits : computed).fetch_add(1, std::memory_order_relaxed);
     }
@@ -227,7 +205,6 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   out.stats.evaluations = computed.load();
   out.stats.failed = failed.load();
   out.stats.cancelled = cancelled.load();
-  out.stats.retries = retries.load();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   out.stats.wallSeconds = elapsed.count();

@@ -21,10 +21,10 @@
 // errors.hpp), so one poisoned candidate cannot abort a sweep. Cancellation
 // tokens and per-batch deadlines are polled per request: work already
 // finished stays valid, un-started requests come back kCancelled /
-// kDeadlineExceeded. Transient failures (kResourceExhausted, transient
-// kInjected) are retried up to BatchOptions::maxRetries with bounded
-// exponential backoff. A FaultInjector installed via setFaultInjector()
-// exercises all of these paths deterministically.
+// kDeadlineExceeded. Every request is attempted once: a transient failure
+// (kResourceExhausted, transient kInjected) fails its slot, marked
+// transient so the caller may try again. A FaultInjector installed via
+// setFaultInjector() exercises all of these paths deterministically.
 //
 // Determinism contract: evaluate() is a pure function and every parallel
 // path writes results into per-request slots, so engine-backed batches
@@ -79,7 +79,6 @@ struct EngineStats {
   std::uint64_t evaluations = 0;  ///< actually computed (misses)
   std::uint64_t failed = 0;       ///< error outcomes other than cancellation
   std::uint64_t cancelled = 0;    ///< kCancelled / kDeadlineExceeded outcomes
-  std::uint64_t retries = 0;      ///< transient-failure re-attempts consumed
   double wallSeconds = 0.0;
   double evalsPerSec = 0.0;  ///< requests / wallSeconds
   [[nodiscard]] double cacheHitRate() const noexcept {
@@ -101,14 +100,6 @@ struct BatchOptions {
   /// deadline, whichever is earlier. Requests not started before it elapses
   /// come back kDeadlineExceeded.
   std::chrono::milliseconds deadline{0};
-  /// Bounded retries for transient errors (kResourceExhausted, transient
-  /// kInjected). 0 = fail fast.
-  int maxRetries = 0;
-  /// Base backoff between retries, doubled each attempt and capped at
-  /// kMaxRetryBackoff. 0 = retry immediately (tests).
-  std::chrono::milliseconds retryBackoff{1};
-
-  static constexpr std::chrono::milliseconds kMaxRetryBackoff{100};
 };
 
 struct BatchResult {
@@ -140,7 +131,7 @@ class Engine {
   [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
 
   /// One evaluation with the structured-error contract: never throws for
-  /// model/injection failures, honors retries for transient errors.
+  /// model/injection failures.
   [[nodiscard]] EvalOutcome tryEvaluate(const StorageDesign& design,
                                         const FailureScenario& scenario,
                                         const BatchOptions& options = {});
@@ -156,14 +147,13 @@ class Engine {
       const Fingerprint& pairKey, const CancellationToken& token = {},
       bool* hitOut = nullptr);
 
-  /// evaluateKeyed with the structured-error contract and bounded retries
-  /// for transient failures; a wait polls `options.token`. `retriesOut`,
-  /// when non-null, accumulates the number of re-attempts consumed (for
-  /// stats); `hitOut` is as in evaluateKeyed, for the final attempt.
+  /// evaluateKeyed with the structured-error contract: one attempt, whose
+  /// failure comes back as an EvalError; a wait polls `options.token`.
+  /// `hitOut` is as in evaluateKeyed.
   [[nodiscard]] EvalOutcome tryEvaluateKeyed(
       const StorageDesign& design, const FailureScenario& scenario,
       const Fingerprint& pairKey, const BatchOptions& options,
-      std::uint64_t* retriesOut = nullptr, bool* hitOut = nullptr);
+      bool* hitOut = nullptr);
 
   /// Evaluates all requests (in request order in the result vector), fanned
   /// out across the pool, with cache-hit accounting and throughput stats.

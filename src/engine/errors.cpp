@@ -35,9 +35,6 @@ std::string EvalError::describe() const {
     out += ": ";
     out += message;
   }
-  if (attempts > 1) {
-    out += " (after " + std::to_string(attempts) + " attempts)";
-  }
   return out;
 }
 

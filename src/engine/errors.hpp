@@ -52,10 +52,11 @@ enum class EvalErrorCode {
 /// journals and reports.
 [[nodiscard]] const char* toString(EvalErrorCode code) noexcept;
 
-/// One structured failure. `transient` marks errors a bounded retry may
+/// One structured failure. `transient` marks errors that trying again may
 /// clear (ResourceExhausted always; Injected when the fault plan says so);
-/// `attempts` records how many evaluation attempts were consumed, so retry
-/// behaviour is observable in tests.
+/// `attempts` records how many evaluation attempts were consumed (the
+/// engine makes at most one; a request cancelled before it started
+/// reports 0).
 struct EvalError {
   EvalErrorCode code = EvalErrorCode::kInternal;
   std::string message;
@@ -64,11 +65,6 @@ struct EvalError {
 
   [[nodiscard]] std::string describe() const;
 };
-
-/// True when a bounded retry is permitted for this error.
-[[nodiscard]] inline bool isRetryable(const EvalError& error) noexcept {
-  return error.transient;
-}
 
 /// Exception carrying an EvalError across a boundary that still throws
 /// (Expected::value() on an error slot, legacy throwing entry points).

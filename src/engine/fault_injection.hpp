@@ -1,7 +1,7 @@
 // fault_injection.hpp — deterministic fault injection for the engine.
 //
-// The fault-tolerance paths (per-request isolation, retry with bounded
-// backoff, cancellation, deadline expiry) are only trustworthy if they are
+// The fault-tolerance paths (per-request isolation, transient-error
+// reporting, cancellation, deadline expiry) are only trustworthy if they are
 // testable, and they are only testable if failures can be provoked on
 // demand, deterministically, at each layer they guard. A FaultInjector is
 // installed on an Engine (Engine::setFaultInjector) and consulted at four
@@ -19,9 +19,9 @@
 // keyed by that triple — so the *same requests* fail no matter how the
 // batch is chunked across threads or in what order chunks run. Fingerprint
 // targets fail a specific request; `failuresPerTarget` bounds how many
-// times each target fires (N transient faults, then success: the retry
-// test). Injected latency slows matching sites without failing them, which
-// is how deadline expiry is exercised.
+// times each target fires (N transient faults, then success). Injected
+// latency slows matching sites without failing them, which is how deadline
+// expiry is exercised.
 #pragma once
 
 #include <atomic>
@@ -72,16 +72,16 @@ struct FaultPlan {
   unsigned sites = faultSiteBit(FaultSite::kEvaluate);
   /// Probability that an armed site fails a given request. The decision is
   /// a pure function of (seed, site, fingerprint): deterministic across
-  /// thread counts and retries (a probability-hit request fails its retries
-  /// too — use targets + failuresPerTarget for transient faults).
+  /// thread counts and repeated attempts (a probability-hit request fails
+  /// every attempt — use targets + failuresPerTarget for faults that clear).
   double probability = 0.0;
   /// Request fingerprints that always fail at armed sites...
   std::vector<Fingerprint> targets;
-  /// ...at most this many times each (< 0 = unlimited). With transient =
-  /// true and failuresPerTarget = N, a retry bound > N succeeds and a
-  /// smaller one gives up — the retry contract, made testable.
+  /// ...at most this many times each (< 0 = unlimited): with N, attempt
+  /// N + 1 at a target succeeds.
   int failuresPerTarget = -1;
-  /// Injected failures are reported transient (retryable) when true.
+  /// Injected failures are reported transient (worth another attempt) when
+  /// true.
   bool transient = false;
   /// Extra latency applied on every visit to an armed site (whether or not
   /// the visit ends in a fault). Used to provoke deadline expiry

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "config/design_io.hpp"
@@ -144,18 +145,29 @@ CheckpointJournal::CheckpointJournal(std::string path,
       bool first = true;
       while (std::getline(in, line)) {
         if (line.empty()) continue;
+        if (first) {
+          first = false;
+          std::optional<Json> header;
+          try {
+            header = Json::parse(line);
+          } catch (const std::exception&) {
+            // Not JSON: refused below like any other non-journal.
+          }
+          const Json* format = header ? header->find("format") : nullptr;
+          if (format == nullptr || !format->isString() ||
+              format->asString() != kFormat) {
+            // Some other file: a mistyped path must not destroy it.
+            throw config::DesignIoError(
+                "not a checkpoint journal, refusing to overwrite: " + path_);
+          }
+          const Json* ctx = header->find("context");
+          headerOk = ctx != nullptr && ctx->isString() &&
+                     ctx->asString() == contextHex;
+          if (!headerOk) break;  // another sweep's journal: start afresh
+          continue;
+        }
         try {
           const Json record = Json::parse(line);
-          if (first) {
-            first = false;
-            const Json* format = record.find("format");
-            const Json* ctx = record.find("context");
-            headerOk = format != nullptr && format->isString() &&
-                       format->asString() == kFormat && ctx != nullptr &&
-                       ctx->isString() && ctx->asString() == contextHex;
-            if (!headerOk) break;  // different sweep (or not a journal)
-            continue;
-          }
           const Json* keyField = record.find("key");
           const Json* resultField = record.find("result");
           if (keyField == nullptr || !keyField->isString() ||

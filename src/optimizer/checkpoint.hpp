@@ -15,7 +15,8 @@
 // loaded — a truncated final line (the crash case: the process died
 // mid-append) is tolerated and dropped — and the file is compacted via
 // write-temp-then-rename so new appends never land after a partial record.
-// A mismatched or unreadable journal is discarded and the file restarted.
+// Another sweep's journal is discarded and the file restarted; a file that
+// is not a journal at all is refused and left as it is.
 //
 // Numbers round-trip exactly: finite doubles survive the JSON layer's
 // shortest-exact formatting bit-for-bit, and non-finite values (infinite
@@ -66,10 +67,12 @@ class CheckpointJournal {
  public:
   /// Opens (or creates) the journal at `path` for the given search context.
   /// Existing records with a matching context are loaded and the file is
-  /// compacted; anything else (missing file, wrong context, corrupt header)
+  /// compacted; a missing or empty file, or a journal of another context,
   /// starts an empty journal. `flushEvery` bounds how many records may sit
   /// unflushed (1 = fsync-ish durability per record, larger = cheaper).
-  /// Throws config::DesignIoError when the file cannot be (re)written.
+  /// Throws config::DesignIoError when the file cannot be (re)written, or
+  /// when its first non-empty line is not a journal header (the file is
+  /// then left untouched).
   CheckpointJournal(std::string path, const engine::Fingerprint& context,
                     std::size_t flushEvery = 16);
   ~CheckpointJournal();

@@ -719,7 +719,6 @@ void Server::runEvaluate(const EvaluateJob& job) {
       }
       engine::BatchOptions batchOptions;
       batchOptions.token = job.token;
-      batchOptions.maxRetries = options_.maxRetries;
       batch = engine_->evaluateBatch(requests, batchOptions);
       if (batch.stats.failed > 0) {
         // Feeds the brown-out controller: a streak of failing requests

@@ -79,7 +79,6 @@ struct ServerOptions {
   /// Evaluate slots (one per pair) admitted and not yet answered; a request
   /// that would exceed it gets 429 + Retry-After.
   std::size_t maxQueueSlots = 1024;
-  int maxRetries = 0;  ///< engine retry budget for transient failures
 
   /// Deadline applied when a request names none (0 = none), and the cap on
   /// what a client may ask for.

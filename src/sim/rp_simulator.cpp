@@ -35,10 +35,7 @@ Duration RpLifecycleSimulator::levelPhase(int level) const {
 }
 
 void RpLifecycleSimulator::createRp(int level, SimTime now, bool isFull,
-                                    Duration holdW, Duration propW) {
-  if (totalEvents_ + engine_.processedEvents() > options_.maxEvents) {
-    throw SimulationError("simulation exceeded its event budget");
-  }
+                                    const WindowSpec& windows) {
   SimTime dataTime = now;
   if (level > 1) {
     // Capture the newest RP visible one level down (any data age).
@@ -47,7 +44,7 @@ void RpLifecycleSimulator::createRp(int level, SimTime now, bool isFull,
     dataTime = upstream->dataTime;
   }
   const ProtectionPolicy& pol = *design_.level(level).policy();
-  const SimTime arrival = now + holdW.secs() + propW.secs();
+  const SimTime arrival = now + windows.holdW.secs() + windows.propW.secs();
   const SimTime evict =
       arrival + pol.cyclePeriod().secs() * pol.retentionCount();
   timelines_[static_cast<size_t>(level)].push_back(SimRp{
@@ -59,47 +56,47 @@ void RpLifecycleSimulator::createRp(int level, SimTime now, bool isFull,
   });
 }
 
-void RpLifecycleSimulator::scheduleCycle(int level, SimTime cycleStart) {
-  if (cycleStart > options_.horizon.secs()) return;
-  const ProtectionPolicy& pol = *design_.level(level).policy();
-  const WindowSpec& full = pol.primaryWindows();
-
-  engine_.scheduleAt(cycleStart, [this, level, cycleStart, full] {
-    createRp(level, cycleStart, /*isFull=*/true, full.holdW, full.propW);
-  });
-
-  if (pol.isCyclic()) {
-    const WindowSpec& incr = *pol.secondaryWindows();
-    for (int m = 1; m <= pol.cycleCount(); ++m) {
-      const SimTime t = cycleStart + incr.accW.secs() * m;
-      if (t >= cycleStart + pol.cyclePeriod().secs() ||
-          t > options_.horizon.secs()) {
-        break;
-      }
-      engine_.scheduleAt(t, [this, level, t, incr] {
-        createRp(level, t, /*isFull=*/false, incr.holdW, incr.propW);
-      });
-    }
-  }
-
-  // Chain the following cycle lazily so the pending-event count stays
-  // proportional to the level count, not the horizon.
-  const SimTime next = cycleStart + pol.cyclePeriod().secs();
-  engine_.scheduleAt(next, [this, level, next] { scheduleCycle(level, next); });
-}
-
 void RpLifecycleSimulator::run() {
   totalEvents_ = 0;
   for (auto& t : timelines_) t.clear();
-  // One engine pass per level, in hierarchy order: level i's creations
-  // query level i-1's *completed* timeline, so an RP arriving at exactly a
-  // creation instant is visible regardless of event tie-breaking.
+  const SimTime horizon = options_.horizon.secs();
+  // Level by level, in hierarchy order: level i's creations query level
+  // i-1's *completed* timeline, so an RP arriving at exactly a creation
+  // instant is visible. Within a level, cycle by cycle: the full at the
+  // cycle start, then the incrementals (cycle start + accW x m) that fall
+  // before the next cycle start (this one + the period).
   for (int level = 1; level < design_.levelCount(); ++level) {
     if (isContinuous(level)) continue;  // handled analytically in queries
-    engine_.reset();
-    scheduleCycle(level, levelPhase(level).secs());
-    engine_.run(options_.horizon.secs());
-    totalEvents_ += engine_.processedEvents();
+    const SimTime phase = levelPhase(level).secs();
+    if (phase < 0) {
+      throw SimulationError("schedule phase must not be negative");
+    }
+    const ProtectionPolicy& pol = *design_.level(level).policy();
+    const SimTime period = pol.cyclePeriod().secs();
+    std::uint64_t events = 0;  // this level's creations and cycle starts
+    const auto create = [&](SimTime now, bool isFull,
+                            const WindowSpec& windows) {
+      if (totalEvents_ + events > options_.maxEvents) {
+        throw SimulationError("simulation exceeded its event budget");
+      }
+      createRp(level, now, isFull, windows);
+      ++events;
+    };
+    for (SimTime cycleStart = phase; cycleStart <= horizon;
+         cycleStart = cycleStart + period) {
+      // Each cycle start after the first counts as one event, and every
+      // cycle creates at least its full, so `events > 0` marks a later one.
+      if (events > 0) ++events;
+      create(cycleStart, /*isFull=*/true, pol.primaryWindows());
+      if (!pol.isCyclic()) continue;
+      const WindowSpec& incr = *pol.secondaryWindows();
+      for (int m = 1; m <= pol.cycleCount(); ++m) {
+        const SimTime t = cycleStart + incr.accW.secs() * m;
+        if (t >= cycleStart + period || t > horizon) break;
+        create(t, /*isFull=*/false, incr);
+      }
+    }
+    totalEvents_ += events;
   }
   ran_ = true;
 }

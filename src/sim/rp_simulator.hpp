@@ -1,8 +1,8 @@
-// rp_simulator.hpp — discrete-event simulation of the RP lifecycle.
+// rp_simulator.hpp — simulation of the RP lifecycle.
 //
 // The analytic models of src/core compute *worst-case* data loss from window
-// arithmetic. This simulator executes the actual creation / propagation /
-// retention / eviction schedule of every level on the DES engine, so that
+// arithmetic. This simulator walks the actual creation / propagation /
+// retention / eviction schedule of every level in time order, so that
 // failure injection (failure_injector.hpp) can measure the *achieved* data
 // loss at arbitrary failure instants and check it against the analytic
 // bound — the validation the paper lists as future work.
@@ -17,14 +17,22 @@
 // exceed it — an effect the ablation bench demonstrates.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/data_loss.hpp"
 #include "core/hierarchy.hpp"
-#include "sim/engine.hpp"
 
 namespace stordep::sim {
+
+using SimTime = double;  ///< seconds since simulation start
+
+class SimulationError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// One simulated retrieval point at one level.
 struct SimRp {
@@ -41,10 +49,14 @@ struct RpSimOptions {
   Duration horizon = days(120);
   /// Align each level's creation grid with the upstream arrival instants
   /// (the paper's assumption). When false, `phases` supplies explicit
-  /// per-level offsets (missing entries default to zero).
+  /// per-level offsets (missing entries default to zero; run() refuses a
+  /// negative one).
   bool alignSchedules = true;
   std::vector<Duration> phases;
-  /// Safety valve against runaway event counts (tiny accW, long horizon).
+  /// Safety valve against runaway schedules (tiny accW, long horizon).
+  /// Events are RP creations plus each level's cycle starts after its
+  /// first; run() throws when a creation finds more than this many before
+  /// it.
   std::uint64_t maxEvents = 20'000'000;
 };
 
@@ -83,9 +95,8 @@ class RpLifecycleSimulator {
   }
 
  private:
-  void scheduleCycle(int level, SimTime cycleStart);
-  void createRp(int level, SimTime now, bool isFull, Duration holdW,
-                Duration propW);
+  void createRp(int level, SimTime now, bool isFull,
+                const WindowSpec& windows);
   [[nodiscard]] Duration levelPhase(int level) const;
   [[nodiscard]] bool isContinuous(int level) const;
 
@@ -93,7 +104,6 @@ class RpLifecycleSimulator {
   // the simulator outlives the call site's expression.
   StorageDesign design_;
   RpSimOptions options_;
-  Engine engine_;
   /// Per level (index 0 unused), in arrival order per creation order.
   std::vector<std::vector<SimRp>> timelines_;
   std::uint64_t totalEvents_ = 0;

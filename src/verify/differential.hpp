@@ -1,8 +1,8 @@
 // differential.hpp — cross-implementation oracles for generated cases.
 //
 // The repo computes the same dependability answers three independent ways:
-// the analytic evaluator (src/core), the discrete-event RP-lifecycle
-// simulator (src/sim), and the parallel batch engine (src/engine) behind
+// the analytic evaluator (src/core), the RP-lifecycle simulator
+// (src/sim), and the parallel batch engine (src/engine) behind
 // optimizer::searchDesignSpace. Each oracle here runs one generated case
 // through two of them and checks agreement:
 //
@@ -57,7 +57,7 @@ struct OracleOptions {
   int stochasticTrials = 48;
 };
 
-/// Analytic evaluator vs discrete-event simulation: the analytic worst-case
+/// Analytic evaluator vs the RP-lifecycle simulation: the analytic worst-case
 /// data loss bounds every simulated failure instant. Applicable only to
 /// convention-conforming designs (validate() empty) with a
 /// simulation-affordable slowest cycle, and to array/site scenarios (the

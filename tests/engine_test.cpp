@@ -521,6 +521,9 @@ TEST(SingleFlight, WarmBatchStatsIgnoreConcurrentColdMisses) {
       coldMisses.fetch_add(1);
     }
   });
+  // The warm rounds must overlap the cold misses: start them only once the
+  // cold thread has counted its first.
+  while (coldMisses.load() == 0) std::this_thread::yield();
   for (int round = 0; round < 300; ++round) {
     const BatchResult result = engine.evaluateBatch(warm);
     ASSERT_TRUE(result.allOk());

@@ -1,6 +1,6 @@
 // Tests for the fault-tolerant evaluation pipeline: per-request error
-// isolation, deterministic fault injection, cancellation/deadlines, retry
-// budgets, thread-pool failure drain, checkpoint/resume for long sweeps
+// isolation, deterministic fault injection, cancellation/deadlines, transient
+// faults, thread-pool failure drain, checkpoint/resume for long sweeps
 // (through the one wave loop both sweep entry points share), and the
 // design-io error-wrapping contract.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -211,32 +212,9 @@ TEST(FaultInjection, ProbabilityDecisionsAreThreadCountIndependent) {
   EXPECT_EQ(a.stats.failed, b.stats.failed);
 }
 
-// ---- Retry budget ----------------------------------------------------------
+// ---- Transient faults ------------------------------------------------------
 
-TEST(FaultInjection, TransientFaultsClearWithinRetryBudget) {
-  const StorageDesign design = cs::baseline();
-  const FailureScenario scenario = cs::arrayFailure();
-
-  eng::FaultPlan plan;
-  plan.targets = {eng::fingerprintEvaluation(design, scenario)};
-  plan.failuresPerTarget = 2;
-  plan.transient = true;
-
-  eng::Engine engine(eng::EngineOptions{.threads = 1, .useCache = false});
-  auto injector = std::make_shared<eng::FaultInjector>(plan);
-  engine.setFaultInjector(injector);
-
-  eng::BatchOptions options;
-  options.maxRetries = 3;
-  options.retryBackoff = milliseconds{0};
-  const eng::EvalOutcome outcome =
-      engine.tryEvaluate(design, scenario, options);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(injector->injected(), 2u);  // two faults, then success
-  expectBitIdentical(outcome.value(), evaluate(design, scenario));
-}
-
-TEST(FaultInjection, RetryGivesUpPastTheBudget) {
+TEST(FaultInjection, TransientFaultSurfacesOnItsFirstAttempt) {
   const StorageDesign design = cs::baseline();
   const FailureScenario scenario = cs::arrayFailure();
 
@@ -245,37 +223,15 @@ TEST(FaultInjection, RetryGivesUpPastTheBudget) {
   plan.transient = true;  // unlimited failuresPerTarget
 
   eng::Engine engine(eng::EngineOptions{.threads = 1, .useCache = false});
-  engine.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
+  auto injector = std::make_shared<eng::FaultInjector>(plan);
+  engine.setFaultInjector(injector);
 
-  eng::BatchOptions options;
-  options.maxRetries = 2;
-  options.retryBackoff = milliseconds{0};
-  const eng::EvalOutcome outcome =
-      engine.tryEvaluate(design, scenario, options);
+  const eng::EvalOutcome outcome = engine.tryEvaluate(design, scenario);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.error().code, eng::EvalErrorCode::kInjected);
   EXPECT_TRUE(outcome.error().transient);
-  EXPECT_EQ(outcome.error().attempts, 3);  // initial try + 2 retries
-}
-
-TEST(FaultInjection, BatchRetriesAreCountedInStats) {
-  std::vector<eng::EvalRequest> requests = caseStudyRequests();
-  eng::FaultPlan plan;
-  plan.targets = {eng::fingerprintEvaluation(*requests[0].design,
-                                             requests[0].scenario)};
-  plan.failuresPerTarget = 1;
-  plan.transient = true;
-
-  eng::Engine engine(eng::EngineOptions{.threads = 2});
-  engine.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
-
-  eng::BatchOptions options;
-  options.maxRetries = 2;
-  options.retryBackoff = milliseconds{0};
-  const eng::BatchResult batch = engine.evaluateBatch(requests, options);
-  EXPECT_TRUE(batch.allOk());
-  EXPECT_EQ(batch.stats.retries, 1u);
-  EXPECT_EQ(batch.stats.failed, 0u);
+  EXPECT_EQ(outcome.error().attempts, 1);
+  EXPECT_EQ(injector->injected(), 1u);  // the engine never tries again
 }
 
 // ---- Cache-site faults -----------------------------------------------------
@@ -552,6 +508,28 @@ TEST(Checkpoint, JournalSurvivesTruncationAndRejectsWrongContext) {
     EXPECT_EQ(journal.resumed(), 0u);
     EXPECT_EQ(journal.find(keyA), nullptr);
   }
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RefusesToOverwriteAFileThatIsNotAJournal) {
+  const std::string path = tempPath("stordep_journal_not_a_journal.txt");
+  const std::string bytes = "meeting notes\nbring the tape inventory\n";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  try {
+    opt::CheckpointJournal journal(path, eng::fingerprintBytes("context-a"));
+    ADD_FAILURE() << "a non-journal file was opened as a journal";
+  } catch (const config::DesignIoError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 }
 

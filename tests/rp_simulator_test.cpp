@@ -3,6 +3,10 @@
 // bound from the core models — the paper's future-work validation, executed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "casestudy/casestudy.hpp"
 #include "sim/failure_injector.hpp"
 #include "sim/rp_simulator.hpp"
@@ -206,6 +210,103 @@ TEST(RpSimulator, EventBudgetEnforced) {
   options.horizon = days(30);
   options.maxEvents = 50;
   RpLifecycleSimulator sim(cs::baseline(), options);
+  EXPECT_THROW(sim.run(), SimulationError);
+}
+
+/// FNV-1a over the bit patterns of every SimRp field, level 1 first.
+std::uint64_t timelineDigest(const RpLifecycleSimulator& sim) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (int level = 1; level < sim.design().levelCount(); ++level) {
+    for (const SimRp& rp : sim.timeline(level)) {
+      mix(std::bit_cast<std::uint64_t>(rp.dataTime));
+      mix(std::bit_cast<std::uint64_t>(rp.createTime));
+      mix(std::bit_cast<std::uint64_t>(rp.arrivalTime));
+      mix(std::bit_cast<std::uint64_t>(rp.evictTime));
+      mix(rp.isFull ? 1u : 0u);
+    }
+  }
+  return hash;
+}
+
+struct PinnedSchedule {
+  std::uint64_t events;
+  std::vector<std::size_t> rpsPerLevel;  ///< level 1 first
+  std::uint64_t digest;
+};
+
+void expectSchedule(const StorageDesign& design, const RpSimOptions& options,
+                    const PinnedSchedule& expected) {
+  RpLifecycleSimulator sim(design, options);
+  sim.run();
+  EXPECT_EQ(sim.eventsProcessed(), expected.events);
+  std::vector<std::size_t> rps;
+  for (int level = 1; level < design.levelCount(); ++level) {
+    rps.push_back(sim.timeline(level).size());
+  }
+  EXPECT_EQ(rps, expected.rpsPerLevel);
+  EXPECT_EQ(timelineDigest(sim), expected.digest);
+}
+
+/// The smallest budget that runs is one below the event count.
+void expectBudgetBoundary(const StorageDesign& design, RpSimOptions options,
+                          std::uint64_t events) {
+  options.maxEvents = events - 1;
+  RpLifecycleSimulator enough(design, options);
+  EXPECT_NO_THROW(enough.run());
+  options.maxEvents = events - 2;
+  RpLifecycleSimulator tooFew(design, options);
+  EXPECT_THROW(tooFew.run(), SimulationError);
+}
+
+TEST(RpSimulator, ScheduleMatchesTheEventEngineBitForBit) {
+  // Recorded from the discrete-event engine the simulator ran on before it
+  // walked each level's schedule in a loop: every timeline, event count and
+  // budget boundary must stay exactly as that engine produced them.
+  const std::vector<PinnedSchedule> expected = {
+      {525, {241, 18, 5}, 0xbd253319c39789a1ull},
+      {549, {241, 18, 17}, 0x946af59c6fc43083ull},
+      {635, {241, 104, 17}, 0xf879c6501619e535ull},
+      {757, {241, 121, 18}, 0xfe1b88289a970ab2ull},
+      {757, {241, 121, 18}, 0xfe1b88289a970ab2ull},
+      {345'601, {172'801}, 0x17286bc11319f0e3ull},
+      {345'601, {172'801}, 0x17286bc11319f0e3ull},
+  };
+  const auto designs = cs::allWhatIfDesigns();
+  ASSERT_EQ(designs.size(), expected.size());
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    const auto& [label, design] = designs[i];
+    SCOPED_TRACE(label);
+    expectSchedule(design, RpSimOptions{}, expected[i]);
+    if (expected[i].events < 100'000) {
+      expectBudgetBoundary(design, RpSimOptions{}, expected[i].events);
+    } else {
+      // The async-batch mirrors' boundary over 12 hours keeps this fast.
+      RpSimOptions twelveHours;
+      twelveHours.horizon = hours(12);
+      expectSchedule(design, twelveHours,
+                     {1'441, {721}, 0x223aad4b5ee9030eull});
+      expectBudgetBoundary(design, twelveHours, 1'441);
+    }
+  }
+
+  RpSimOptions misaligned;
+  misaligned.alignSchedules = false;
+  misaligned.phases = {Duration::zero(), hours(5), hours(17), hours(3)};
+  expectSchedule(cs::weeklyVaultDailyFull(), misaligned,
+                 {753, {240, 120, 17}, 0x0c33326d2c63f8a9ull});
+  expectBudgetBoundary(cs::weeklyVaultDailyFull(), misaligned, 753);
+
+  // A negative phase would put the first RP before the simulation starts.
+  RpSimOptions negative;
+  negative.alignSchedules = false;
+  negative.phases = {Duration::zero(), hours(-1)};
+  RpLifecycleSimulator sim(cs::baseline(), negative);
   EXPECT_THROW(sim.run(), SimulationError);
 }
 

@@ -1,91 +1,13 @@
-// Tests for the discrete-event simulation substrate: event queue ordering,
-// engine clock semantics, and the deterministic RNG.
+// Tests for the simulation substrate's deterministic RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace stordep::sim {
 namespace {
-
-TEST(EventQueue, OrdersByTime) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(3.0, [&] { order.push_back(3); });
-  queue.schedule(1.0, [&] { order.push_back(1); });
-  queue.schedule(2.0, [&] { order.push_back(2); });
-  while (!queue.empty()) queue.pop().action();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TieBreaksByScheduleOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    queue.schedule(5.0, [&order, i] { order.push_back(i); });
-  }
-  while (!queue.empty()) queue.pop().action();
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueue, SizeAndClear) {
-  EventQueue queue;
-  queue.schedule(1.0, [] {});
-  queue.schedule(2.0, [] {});
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_DOUBLE_EQ(queue.nextTime(), 1.0);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(Engine, ClockAdvancesWithEvents) {
-  Engine engine;
-  std::vector<double> times;
-  engine.scheduleAt(10.0, [&] { times.push_back(engine.now()); });
-  engine.scheduleAt(5.0, [&] {
-    times.push_back(engine.now());
-    engine.scheduleIn(2.0, [&] { times.push_back(engine.now()); });
-  });
-  engine.runAll();
-  EXPECT_EQ(times, (std::vector<double>{5.0, 7.0, 10.0}));
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
-  EXPECT_EQ(engine.processedEvents(), 3u);
-}
-
-TEST(Engine, RunUntilLeavesLaterEventsPending) {
-  Engine engine;
-  int fired = 0;
-  engine.scheduleAt(1.0, [&] { ++fired; });
-  engine.scheduleAt(100.0, [&] { ++fired; });
-  EXPECT_EQ(engine.run(50.0), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(engine.hasPending());
-  EXPECT_DOUBLE_EQ(engine.now(), 50.0);
-  engine.runAll();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, RejectsSchedulingInThePast) {
-  Engine engine;
-  engine.scheduleAt(10.0, [] {});
-  engine.run(20.0);
-  EXPECT_THROW(engine.scheduleAt(5.0, [] {}), SimulationError);
-  EXPECT_THROW(engine.scheduleIn(-1.0, [] {}), SimulationError);
-}
-
-TEST(Engine, ResetClearsEverything) {
-  Engine engine;
-  engine.scheduleAt(1.0, [] {});
-  engine.reset();
-  EXPECT_FALSE(engine.hasPending());
-  EXPECT_DOUBLE_EQ(engine.now(), 0.0);
-}
 
 TEST(Rng, Deterministic) {
   Rng a(123);
