@@ -5,14 +5,14 @@
 //
 //  * the serial reference path (pre-engine: one thread, no cache, the
 //    legacy evaluate());
-//  * engine-backed at 1/2/4/8 threads (parallel speedup); every sweep
-//    compiles each candidate into an evaluation plan (engine/plan.hpp) and
-//    never touches the engine's cache;
+//  * engine-backed at 1/2/4/8 threads (parallel speedup; every run's
+//    ranking must match serial); every sweep compiles each candidate into
+//    an evaluation plan (engine/plan.hpp) and never touches the engine's
+//    cache;
 //  * a streaming sweep over a >= 10k-candidate grid;
-//  * best-of-3 sweeps at 1 and 8 threads (ranking parity with serial,
-//    speedup reported), plus the gated compile-once-evaluate-many matrix —
-//    every design under 24 scenario variants, serial and cold 8-thread, vs
-//    a legacy serial loop over the identical pairs.
+//  * the gated compile-once-evaluate-many matrix — every design under 24
+//    scenario variants, serial and cold 8-thread, vs a legacy serial loop
+//    over the identical pairs.
 //
 // Emits a JSON document on stdout so the perf trajectory can be tracked
 // across PRs, and exits non-zero if the engine's results diverge from the
@@ -140,6 +140,9 @@ int main() {
 
   bool ok = true;
   JsonArray runs;
+  // The 1- and 8-thread runs double as the plan section's sweep timings.
+  double sweepSerialSeconds = 0.0;
+  double sweepCold8Seconds = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
     stordep::engine::Engine engine(
         stordep::engine::EngineOptions{.threads = threads});
@@ -156,6 +159,8 @@ int main() {
                 << threads << " threads\n";
       ok = false;
     }
+    if (threads == 1) sweepSerialSeconds = coldSeconds;
+    if (threads == 8) sweepCold8Seconds = coldSeconds;
 
     Json run{JsonObject{}};
     run.set("threads", Json(threads));
@@ -255,42 +260,14 @@ int main() {
   //     legacy evaluate() loop over the same pairs and the recorded seed
   //     baseline (kSeedSerialEvalsPerSec);
   //  2. cold 8-thread plan matrix: >= 4x the serial legacy wall time, even
-  //     on one core (per-eval win must survive the thread fan-out);
-  //  3. the plan-routed candidate *sweep* must reproduce the serial legacy
-  //     ranking exactly (its speedup is reported but not gated: a 3-scenario
-  //     sweep is dominated by candidate build + compile, which the matrix
-  //     workload amortizes away).
+  //     on one core (per-eval win must survive the thread fan-out).
+  //
+  // The plan-routed candidate *sweeps* are the per-thread runs above, whose
+  // rankings are checked against serial there; their 1- and 8-thread
+  // timings are reported here, not gated (a 3-scenario sweep is dominated
+  // by candidate build + compile, which the matrix workload amortizes
+  // away).
   {
-    // Gate (3): plan-routed sweeps, serial and 8-thread, fresh engine each.
-    auto timedPlanSearch = [&](int threads, double& bestSeconds) {
-      opt::SearchResult result;
-      bestSeconds = -1.0;
-      for (int attempt = 0; attempt < 3; ++attempt) {
-        stordep::engine::Engine engine(
-            stordep::engine::EngineOptions{.threads = threads});
-        opt::SearchOptions planOptions;
-        planOptions.eng = &engine;
-        const auto start = std::chrono::steady_clock::now();
-        result = opt::searchDesignSpace(candidates, workload, business,
-                                        scenarios, planOptions);
-        const double seconds = secondsSince(start);
-        if (bestSeconds < 0.0 || seconds < bestSeconds) bestSeconds = seconds;
-      }
-      return result;
-    };
-
-    double planSerialSweepSeconds = 0.0;
-    const opt::SearchResult planSerialSweep =
-        timedPlanSearch(1, planSerialSweepSeconds);
-    double planColdSweepSeconds = 0.0;
-    const opt::SearchResult planColdSweep =
-        timedPlanSearch(8, planColdSweepSeconds);
-    if (!sameRanking(serial, planSerialSweep) ||
-        !sameRanking(serial, planColdSweep)) {
-      std::cerr << "FAIL: plan-routed sweep ranking diverged from serial\n";
-      ok = false;
-    }
-
     // The matrix workload: every design from the dense grid under 24
     // scenarios (the 3 case-study failures x 8 recovery target ages).
     // Designs that either path cannot evaluate without throwing are skipped
@@ -415,12 +392,12 @@ int main() {
              Json(static_cast<std::int64_t>(coldStats.threadsUsed)));
     plan.set("planCompiles",
              Json(static_cast<std::int64_t>(coldStats.planCompiles)));
-    plan.set("sweepSerialSeconds", Json(planSerialSweepSeconds));
+    plan.set("sweepSerialSeconds", Json(sweepSerialSeconds));
     plan.set("sweepSerialSpeedupVsSerialSearch",
-             Json(serialSeconds / planSerialSweepSeconds));
-    plan.set("sweepCold8Seconds", Json(planColdSweepSeconds));
+             Json(serialSeconds / sweepSerialSeconds));
+    plan.set("sweepCold8Seconds", Json(sweepCold8Seconds));
     plan.set("sweepCold8SpeedupVsSerialSearch",
-             Json(serialSeconds / planColdSweepSeconds));
+             Json(serialSeconds / sweepCold8Seconds));
     doc.set("plan", Json(std::move(plan)));
   }
 

@@ -11,41 +11,33 @@ const TechniqueOutlay* CostResult::find(const std::string& name) const {
   return it == outlays.end() ? nullptr : &*it;
 }
 
-std::vector<TechniqueOutlay> computeOutlays(
-    const std::vector<PlacedDemand>& all) {
-  // Accumulate attributed outlays per technique (insertion order).
-  std::vector<TechniqueOutlay> outlays;
-  auto techniqueEntry = [&](const std::string& name) -> TechniqueOutlay& {
-    const auto it = std::find_if(
-        outlays.begin(), outlays.end(),
-        [&](const TechniqueOutlay& o) { return o.technique == name; });
-    if (it != outlays.end()) return *it;
-    outlays.push_back(TechniqueOutlay{name, Money::zero(), Money::zero()});
+void computeOutlays(std::span<const DemandRow> all,
+                    std::span<const std::string_view> names,
+                    std::vector<OutlayShare>& outlays) {
+  outlays.clear();
+  auto techniqueEntry = [&](std::string_view name) -> OutlayShare& {
+    for (OutlayShare& o : outlays) {
+      if (o.technique == name) return o;
+    }
+    outlays.push_back(OutlayShare{name, Money::zero(), Money::zero()});
     return outlays.back();
   };
 
-  // Devices in first-seen order, each with its demands in `all` order: for
-  // each new device, re-scan `all` for its demands (the same grouping as
-  // computeUtilizationFeasibility, without a per-device map of copies).
-  std::vector<const DeviceModel*> seen;
-  std::vector<const DeviceDemand*> demands;
-  std::vector<Money> attributed;
+  // Devices in first-seen order, each with its rows in `all` order: for each
+  // new device, re-scan `all` for its rows. `attributed` is per-thread
+  // scratch, so a warm fold allocates only when `outlays` grows.
+  thread_local std::vector<Money> attributed;
   for (std::size_t first = 0; first < all.size(); ++first) {
-    const DeviceModel* device = all[first].device.get();
-    if (std::find(seen.begin(), seen.end(), device) != seen.end()) continue;
-    seen.push_back(device);
-    demands.clear();
-    for (std::size_t i = first; i < all.size(); ++i) {
-      if (all[i].device.get() == device) demands.push_back(&all[i].demand);
-    }
+    if (!firstOnDevice(all, first)) continue;
+    const DeviceModel* device = all[first].device;
     const Money fixed = device->spec().cost.fixedCost;
 
-    // Which demand is charged the fixed costs: the flagged primary
-    // technique, defaulting to the first user of the device.
-    size_t primaryIdx = 0;
-    for (size_t i = 0; i < demands.size(); ++i) {
-      if (demands[i]->isPrimaryTechnique) {
-        primaryIdx = i;
+    // Which row is charged the fixed costs: the flagged primary technique,
+    // defaulting to the device's first row.
+    std::size_t primaryRow = first;
+    for (std::size_t i = first; i < all.size(); ++i) {
+      if (all[i].device == device && all[i].isPrimaryTechnique) {
+        primaryRow = i;
         break;
       }
     }
@@ -53,15 +45,16 @@ std::vector<TechniqueOutlay> computeOutlays(
     Bytes totalCap{0};
     Bandwidth totalBW = Bandwidth::zero();
     attributed.clear();
-    for (size_t i = 0; i < demands.size(); ++i) {
-      const DeviceDemand& d = *demands[i];
+    for (std::size_t i = first; i < all.size(); ++i) {
+      const DemandRow& d = all[i];
+      if (d.device != device) continue;
       totalCap += d.capacity;
       totalBW += d.bandwidth;
       const Money marginal =
           device->annualOutlay(d.capacity, d.bandwidth, d.shipmentsPerYear) -
           fixed;
       attributed.push_back(marginal +
-                           (i == primaryIdx ? fixed : Money::zero()));
+                           (i == primaryRow ? fixed : Money::zero()));
     }
 
     // Spare costs follow each technique's share of the device outlay.
@@ -69,23 +62,31 @@ std::vector<TechniqueOutlay> computeOutlays(
     Money deviceTotal = Money::zero();
     for (const auto& m : attributed) deviceTotal += m;
 
-    for (size_t i = 0; i < demands.size(); ++i) {
-      auto& entry = techniqueEntry(demands[i]->techniqueName);
-      entry.deviceOutlay += attributed[i];
+    std::size_t k = 0;
+    for (std::size_t i = first; i < all.size(); ++i) {
+      if (all[i].device != device) continue;
+      auto& entry = techniqueEntry(names[all[i].owner]);
+      entry.deviceOutlay += attributed[k];
       const double share =
           deviceTotal.usd() > 0
-              ? attributed[i] / deviceTotal
-              : 1.0 / static_cast<double>(demands.size());
+              ? attributed[k] / deviceTotal
+              : 1.0 / static_cast<double>(attributed.size());
       entry.spareOutlay += spareTotal * share;
+      ++k;
     }
   }
-  return outlays;
 }
 
 CostResult computeCosts(const StorageDesign& design,
                         const RecoveryResult& recovery) {
   CostResult result;
-  result.outlays = computeOutlays(design.allDemands());
+  const std::vector<std::string_view> names = design.levelNames();
+  std::vector<OutlayShare> shares;
+  computeOutlays(design.allDemands(), names, shares);
+  for (const OutlayShare& s : shares) {
+    result.outlays.push_back(TechniqueOutlay{std::string(s.technique),
+                                             s.deviceOutlay, s.spareOutlay});
+  }
   for (const auto& o : result.outlays) result.totalOutlays += o.total();
 
   const auto& business = design.business();

@@ -13,7 +13,9 @@
 //    failure scenario.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hierarchy.hpp"
@@ -48,9 +50,27 @@ struct CostResult {
 [[nodiscard]] CostResult computeCosts(const StorageDesign& design,
                                       const RecoveryResult& recovery);
 
-/// Outlay attribution over an explicit demand set (used by multi-object
-/// portfolios: shared fixed costs are charged once across all objects).
-[[nodiscard]] std::vector<TechniqueOutlay> computeOutlays(
-    const std::vector<PlacedDemand>& demands);
+/// Outlay attributed to one technique, named by a view into the caller's
+/// name table, so the fold builds no string per technique.
+struct OutlayShare {
+  std::string_view technique;
+  Money deviceOutlay;
+  Money spareOutlay;
+
+  [[nodiscard]] Money total() const noexcept {
+    return deviceOutlay + spareOutlay;
+  }
+};
+
+/// Outlay attribution over demand rows (used by computeCosts, plan compile
+/// and multi-object portfolios, where shared fixed costs are charged once
+/// across all objects). Replaces `out` with one entry per technique name, in
+/// first-seen order; rows whose owners share a name are charged to one
+/// entry. `names[row.owner]` names the technique that placed each row.
+/// Devices are attributed in first-seen order, each over its rows in row
+/// order. `out` is the caller's, so a caller can reuse its capacity.
+void computeOutlays(std::span<const DemandRow> demands,
+                    std::span<const std::string_view> names,
+                    std::vector<OutlayShare>& out);
 
 }  // namespace stordep

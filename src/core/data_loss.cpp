@@ -22,8 +22,17 @@ std::string toString(LossCase c) {
 
 bool levelDestroyed(const StorageDesign& design, int level,
                     const FailureScenario& scenario) {
-  const auto storage = design.level(level).storageDevices();
-  return std::all_of(storage.begin(), storage.end(), [&](const DevicePtr& d) {
+  // Per-thread scratch: the legacy evaluator and trial loops ask this for
+  // every level of every evaluation.
+  thread_local LevelRows rows;
+  rows.clear();
+  design.appendLevelRows(level, nullptr, rows);
+  return storageDestroyed(rows.storage, scenario);
+}
+
+bool storageDestroyed(std::span<const DeviceModel* const> storage,
+                      const FailureScenario& scenario) {
+  return std::all_of(storage.begin(), storage.end(), [&](const DeviceModel* d) {
     return scenario.destroys(d->name(), d->location());
   });
 }

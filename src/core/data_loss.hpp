@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/failure.hpp"
@@ -60,6 +61,10 @@ struct LevelLossAssessment {
 /// True when the failure scenario destroys every storage device of `level`.
 [[nodiscard]] bool levelDestroyed(const StorageDesign& design, int level,
                                   const FailureScenario& scenario);
+
+/// levelDestroyed() over a level's storage rows.
+[[nodiscard]] bool storageDestroyed(std::span<const DeviceModel* const> storage,
+                                    const FailureScenario& scenario);
 
 /// Expected (mean) recent data loss when recovering from `level` under a
 /// failure at a uniformly random instant — the companion to the worst-case

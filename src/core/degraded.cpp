@@ -104,11 +104,13 @@ Duration catchUpTime(const StorageDesign& design, int level,
   // level writes during normal propagation (its own normal-mode demand
   // pattern tells us which devices those are).
   Bandwidth inbound = Bandwidth::infinite();
-  for (const auto& pd : tech.normalModeDemands(design.workload())) {
-    if (pd.device->isTransport() || pd.demand.capacity.bytes() > 0 ||
-        pd.demand.bandwidth.bytesPerSec() > 0) {
+  LevelRows rows;
+  design.appendLevelRows(level, nullptr, rows);
+  for (const DemandRow& d : rows.demands) {
+    if (d.device->isTransport() || d.capacity.bytes() > 0 ||
+        d.bandwidth.bytesPerSec() > 0) {
       const Bandwidth avail = availableBandwidth(
-          design, pd.device, backlog, /*fresh=*/false, /*scenario=*/nullptr);
+          design, *d.device, backlog, /*fresh=*/false, /*scenario=*/nullptr);
       if (avail.bytesPerSec() > 0) inbound = std::min(inbound, avail);
     }
   }

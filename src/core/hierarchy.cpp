@@ -1,8 +1,5 @@
 #include "core/hierarchy.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace stordep {
 
 StorageDesign::StorageDesign(std::string name, WorkloadSpec workload,
@@ -60,14 +57,21 @@ const PrimaryCopy& StorageDesign::primary() const {
 
 std::vector<DevicePtr> StorageDesign::devices() const {
   std::vector<DevicePtr> out;
-  std::unordered_set<const DeviceModel*> seen;
-  auto add = [&](const DevicePtr& d) {
-    if (d && seen.insert(d.get()).second) out.push_back(d);
-  };
-  for (const auto& level : levels_) {
-    for (const auto& d : level->storageDevices()) add(d);
-    for (const auto& pd : level->normalModeDemands(workload_)) add(pd.device);
-    for (const auto& leg : level->recoveryLegs(nullptr)) {
+  LevelRows rows;
+  for (const TechniquePtr& level : levels_) {
+    rows.clear();
+    level->appendRows(workload_, nullptr, rows);
+    auto add = [&](const DeviceModel* d) {
+      if (d == nullptr) return;
+      for (const DevicePtr& seen : out) {
+        if (seen.get() == d) return;
+      }
+      // Aliasing: the technique owns `d` (Technique's lifetime rule).
+      out.emplace_back(level, d);
+    };
+    for (const DeviceModel* d : rows.storage) add(d);
+    for (const DemandRow& demand : rows.demands) add(demand.device);
+    for (const RecoveryLeg& leg : rows.legs) {
       add(leg.from);
       add(leg.to);
       add(leg.via);
@@ -76,13 +80,25 @@ std::vector<DevicePtr> StorageDesign::devices() const {
   return out;
 }
 
-std::vector<PlacedDemand> StorageDesign::allDemands() const {
-  std::vector<PlacedDemand> out;
-  for (const auto& level : levels_) {
-    auto demands = level->normalModeDemands(workload_);
-    out.insert(out.end(), std::make_move_iterator(demands.begin()),
-               std::make_move_iterator(demands.end()));
+void StorageDesign::appendLevelRows(int i, const DeviceModel* primaryTarget,
+                                    LevelRows& rows) const {
+  const std::size_t first = rows.demands.size();
+  level(i).appendRows(workload_, primaryTarget, rows);
+  for (std::size_t d = first; d < rows.demands.size(); ++d) {
+    rows.demands[d].owner = static_cast<std::uint32_t>(i);
   }
+}
+
+std::vector<DemandRow> StorageDesign::allDemands() const {
+  LevelRows rows;
+  for (int i = 0; i < levelCount(); ++i) appendLevelRows(i, nullptr, rows);
+  return std::move(rows.demands);
+}
+
+std::vector<std::string_view> StorageDesign::levelNames() const {
+  std::vector<std::string_view> out;
+  out.reserve(levels_.size());
+  for (const TechniquePtr& level : levels_) out.emplace_back(level->name());
   return out;
 }
 

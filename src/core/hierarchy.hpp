@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/business.hpp"
@@ -62,11 +63,21 @@ class StorageDesign {
     return facility_;
   }
 
-  /// Every distinct device referenced by any level.
+  /// Every distinct device any level's rows reference (with a null restore
+  /// target), in first-seen order: per level, storage, then demands, then
+  /// legs. Each pointer shares ownership with the level that first names it.
   [[nodiscard]] std::vector<DevicePtr> devices() const;
 
-  /// All normal-mode demands from all levels, in level order.
-  [[nodiscard]] std::vector<PlacedDemand> allDemands() const;
+  /// Appends level `i`'s rows (Technique::appendRows) to `rows` and sets the
+  /// owner of each demand row it appended to `i`.
+  void appendLevelRows(int i, const DeviceModel* primaryTarget,
+                       LevelRows& rows) const;
+
+  /// Every level's demand rows, in level order, each owned by its level.
+  [[nodiscard]] std::vector<DemandRow> allDemands() const;
+
+  /// Each level's technique name, indexed like a demand row's owner.
+  [[nodiscard]] std::vector<std::string_view> levelNames() const;
 
   /// Soft violations of the paper's inter-level conventions (Sec 3.2.1):
   ///   accW(i+1) >= cyclePer(i)   slower levels take less frequent RPs

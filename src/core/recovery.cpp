@@ -10,7 +10,6 @@ namespace {
 /// where it now lives, how long it takes to provision, and whether it is a
 /// freshly provisioned replacement (no continuing normal-mode demands).
 struct ResolvedNode {
-  DevicePtr device;
   Location location;
   Duration parFix = Duration::zero();
   bool fresh = false;
@@ -18,10 +17,10 @@ struct ResolvedNode {
   bool viable = true;
 };
 
-ResolvedNode resolveNode(const StorageDesign& design, const DevicePtr& device,
+ResolvedNode resolveNode(const StorageDesign& design,
+                         const DeviceModel* device,
                          const FailureScenario& scenario) {
   ResolvedNode node;
-  node.device = device;
   node.location = device->location();
   if (!scenario.destroys(device->name(), device->location())) {
     return node;  // survives in place
@@ -57,21 +56,26 @@ ResolvedNode resolveNode(const StorageDesign& design, const DevicePtr& device,
 }  // namespace
 
 Bandwidth availableBandwidth(const StorageDesign& design,
-                             const DevicePtr& device, Bytes payload,
+                             const DeviceModel& device, Bytes payload,
                              bool fresh, const FailureScenario* scenario) {
-  Bandwidth base = device->transferBandwidth(payload);
+  Bandwidth base = device.transferBandwidth(payload);
   if (fresh) return base;
   Bandwidth demands = Bandwidth::zero();
+  thread_local LevelRows rows;  // per-thread scratch: three calls per leg
+  bool feederDestroyed = false;
   for (int i = 0; i < design.levelCount(); ++i) {
+    rows.clear();
+    design.appendLevelRows(i, nullptr, rows);
     if (scenario != nullptr) {
       // A destroyed level places no demands; a level whose feeding level
       // died has nothing to propagate either.
-      if (levelDestroyed(design, i, *scenario)) continue;
-      if (i > 0 && levelDestroyed(design, i - 1, *scenario)) continue;
+      const bool destroyed = storageDestroyed(rows.storage, *scenario);
+      const bool silenced = destroyed || feederDestroyed;
+      feederDestroyed = destroyed;
+      if (silenced) continue;
     }
-    for (const auto& pd :
-         design.level(i).normalModeDemands(design.workload())) {
-      if (pd.device.get() == device.get()) demands += pd.demand.bandwidth;
+    for (const DemandRow& d : rows.demands) {
+      if (d.device == &device) demands += d.bandwidth;
     }
   }
   if (demands >= base) return Bandwidth::zero();
@@ -116,8 +120,10 @@ RecoveryResult recoverFrom(const StorageDesign& design,
   result.payload = payloadOverride.value_or(
       tech.restorePayload(design.workload(), baseSize));
 
-  const DevicePtr primaryArray = design.primary().array();
-  const auto legs = tech.recoveryLegs(primaryArray);
+  const DeviceModel* primaryArray = design.primary().array().get();
+  LevelRows rows;
+  design.appendLevelRows(source.level, primaryArray, rows);
+  const std::vector<RecoveryLeg>& legs = rows.legs;
   if (legs.empty()) {
     result.notes.push_back("source level has no restore path");
     return result;
@@ -158,7 +164,7 @@ RecoveryResult recoverFrom(const StorageDesign& design,
     const bool originallyCrossSite =
         leg.from->location().site != leg.to->location().site;
     const bool resolvedSameSite = src.location.site == dst.location.site;
-    const DevicePtr via =
+    const DeviceModel* via =
         (leg.via && !(originallyCrossSite && resolvedSameSite)) ? leg.via
                                                                 : nullptr;
     const bool physical = via && via->deliversPhysically();
@@ -169,17 +175,17 @@ RecoveryResult recoverFrom(const StorageDesign& design,
     Duration applyTime = Duration::zero();
     Bandwidth drainRate = Bandwidth::zero();
     if (!physical) {
-      drainRate = availableBandwidth(design, leg.from, result.payload,
+      drainRate = availableBandwidth(design, *leg.from, result.payload,
                                      src.fresh, &scenario);
       if (via) {
         drainRate = std::min(drainRate,
-                             availableBandwidth(design, via, result.payload,
+                             availableBandwidth(design, *via, result.payload,
                                                 false, &scenario));
       }
       drainTime = drainRate.bytesPerSec() > 0 ? result.payload / drainRate
                                               : Duration::infinite();
       const Bandwidth destRate = availableBandwidth(
-          design, leg.to, result.payload, dst.fresh, &scenario);
+          design, *leg.to, result.payload, dst.fresh, &scenario);
       applyTime = destRate.bytesPerSec() > 0 ? result.payload / destRate
                                              : Duration::infinite();
     }
@@ -191,7 +197,7 @@ RecoveryResult recoverFrom(const StorageDesign& design,
 
     result.timeline.push_back(RecoveryStep{
         .description = leg.from->name() + " -> " +
-                       (leg.to.get() == primaryArray.get() && dst.fresh
+                       (leg.to == primaryArray && dst.fresh
                             ? "replacement primary"
                             : leg.to->name()),
         .startTime = sendReady,

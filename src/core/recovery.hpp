@@ -79,7 +79,7 @@ struct RecoveryResult {
 /// propagate (e.g., after a primary-array failure, the backup read stream
 /// and the mirror update stream both stop).
 [[nodiscard]] Bandwidth availableBandwidth(
-    const StorageDesign& design, const DevicePtr& device, Bytes payload,
+    const StorageDesign& design, const DeviceModel& device, Bytes payload,
     bool fresh, const FailureScenario* scenario = nullptr);
 
 }  // namespace stordep

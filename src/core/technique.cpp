@@ -24,6 +24,13 @@ std::string toString(TechniqueKind kind) {
   return "unknown";
 }
 
+bool firstOnDevice(std::span<const DemandRow> rows, std::size_t i) {
+  for (std::size_t k = 0; k < i; ++k) {
+    if (rows[k].device == rows[i].device) return false;
+  }
+  return true;
+}
+
 Technique::Technique(std::string name, TechniqueKind kind)
     : name_(std::move(name)), kind_(kind) {
   if (name_.empty()) throw TechniqueError("technique must have a name");

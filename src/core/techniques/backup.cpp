@@ -91,38 +91,37 @@ Bytes Backup::cycleCapacity(const WorkloadSpec& workload) const {
   return total;
 }
 
-std::vector<PlacedDemand> Backup::normalModeDemands(
-    const WorkloadSpec& workload) const {
+void Backup::appendRows(const WorkloadSpec& workload,
+                        const DeviceModel* primaryTarget,
+                        LevelRows& rows) const {
   const Bandwidth rate = transferRate(workload);
   const Bytes mediaCapacity =
       cycleCapacity(workload) * static_cast<double>(policy_.retentionCount()) +
       workload.dataCap();  // extra full: never overwrite the last good image
 
-  std::vector<PlacedDemand> out;
+  rows.storage.push_back(device_.get());
   // Read stream on the source array (secondary technique there).
-  out.push_back(PlacedDemand{
-      source_, DeviceDemand{.techniqueName = name(),
-                            .bandwidth = rate,
-                            .capacity = Bytes{0},
-                            .shipmentsPerYear = 0.0,
-                            .isPrimaryTechnique = false}});
+  rows.demands.push_back(DemandRow{.device = source_.get(),
+                                   .bandwidth = rate,
+                                   .capacity = Bytes{0},
+                                   .isPrimaryTechnique = false});
   // Write stream + media on the backup device (this technique owns it).
-  out.push_back(PlacedDemand{
-      device_, DeviceDemand{.techniqueName = name(),
-                            .bandwidth = rate,
-                            .capacity = mediaCapacity,
-                            .shipmentsPerYear = 0.0,
-                            .isPrimaryTechnique = true}});
+  rows.demands.push_back(DemandRow{.device = device_.get(),
+                                   .bandwidth = rate,
+                                   .capacity = mediaCapacity,
+                                   .isPrimaryTechnique = true});
   // The stream crosses the transport when one is named (shared SAN or WAN).
   if (transport_) {
-    out.push_back(PlacedDemand{
-        transport_, DeviceDemand{.techniqueName = name(),
-                                 .bandwidth = rate,
-                                 .capacity = Bytes{0},
-                                 .shipmentsPerYear = 0.0,
-                                 .isPrimaryTechnique = false}});
+    rows.demands.push_back(DemandRow{.device = transport_.get(),
+                                     .bandwidth = rate,
+                                     .capacity = Bytes{0},
+                                     .isPrimaryTechnique = false});
   }
-  return out;
+  rows.legs.push_back(
+      RecoveryLeg{.from = device_.get(),
+                  .to = primaryTarget ? primaryTarget : source_.get(),
+                  .via = transport_.get(),
+                  .serializedFix = device_->accessDelay()});
 }
 
 Bytes Backup::restorePayload(const WorkloadSpec& workload,
@@ -137,13 +136,6 @@ Bytes Backup::restorePayload(const WorkloadSpec& workload,
   // Partial-object restores replay proportionally less incremental data.
   const double scale = std::min(1.0, baseSize / workload.dataCap());
   return baseSize + incr * scale;
-}
-
-std::vector<RecoveryLeg> Backup::recoveryLegs(DevicePtr primaryTarget) const {
-  return {RecoveryLeg{.from = device_,
-                      .to = primaryTarget ? primaryTarget : source_,
-                      .via = transport_,
-                      .serializedFix = device_->accessDelay()}};
 }
 
 }  // namespace stordep

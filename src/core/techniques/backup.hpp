@@ -51,18 +51,20 @@ class Backup final : public Technique {
   [[nodiscard]] DevicePtr backupDevice() const noexcept { return device_; }
   [[nodiscard]] DevicePtr transport() const noexcept { return transport_; }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {device_};
-  }
-
   /// Peak transfer rate across the cycle (full vs largest incremental).
   [[nodiscard]] Bandwidth transferRate(const WorkloadSpec& workload) const;
 
   /// Media consumed by one full cycle (full + incrementals).
   [[nodiscard]] Bytes cycleCapacity(const WorkloadSpec& workload) const;
 
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
+  /// Storage: the backup device. Demands: the read stream on the source
+  /// array, the write stream and media on the backup device, and the stream
+  /// on the transport when one is named. Leg: the backup device into the
+  /// primary (the source array when `primaryTarget` is null), over the
+  /// transport.
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
   /// Worst-case restore payload: the full image plus the incrementals that
   /// must be replayed on top of it (largest cumulative, or all
@@ -70,9 +72,6 @@ class Backup final : public Technique {
   /// incremental share scales proportionally.
   [[nodiscard]] Bytes restorePayload(const WorkloadSpec& workload,
                                      Bytes baseSize) const override;
-
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
 
  private:
   /// Unique bytes covered by the largest incremental in the cycle.

@@ -8,20 +8,14 @@ PrimaryCopy::PrimaryCopy(DevicePtr array)
   if (!array_) throw TechniqueError("primary copy requires an array");
 }
 
-std::vector<PlacedDemand> PrimaryCopy::normalModeDemands(
-    const WorkloadSpec& workload) const {
-  return {PlacedDemand{
-      array_,
-      DeviceDemand{.techniqueName = name(),
-                   .bandwidth = workload.avgAccessRate(),
-                   .capacity = workload.dataCap(),
-                   .shipmentsPerYear = 0.0,
-                   .isPrimaryTechnique = true}}};
-}
-
-std::vector<RecoveryLeg> PrimaryCopy::recoveryLegs(
-    DevicePtr /*primaryTarget*/) const {
-  return {};  // the primary copy is the recovery *destination*
+void PrimaryCopy::appendRows(const WorkloadSpec& workload,
+                             const DeviceModel* /*primaryTarget*/,
+                             LevelRows& rows) const {
+  rows.storage.push_back(array_.get());
+  rows.demands.push_back(DemandRow{.device = array_.get(),
+                                   .bandwidth = workload.avgAccessRate(),
+                                   .capacity = workload.dataCap(),
+                                   .isPrimaryTechnique = true});
 }
 
 }  // namespace stordep

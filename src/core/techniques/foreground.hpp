@@ -16,19 +16,14 @@ class PrimaryCopy final : public Technique {
 
   [[nodiscard]] DevicePtr array() const noexcept { return array_; }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {array_};
-  }
-
-  /// Foreground demand: the workload's full access rate (reads + writes) and
-  /// the dataset capacity. Marked as the array's primary technique — it is
-  /// charged the array's fixed costs (paper Sec 3.3.5).
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
-
-  /// The primary copy is never a recovery source (it is what gets rebuilt).
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
+  /// Storage: the array. Demand: the workload's full access rate (reads +
+  /// writes) and the dataset capacity, marked as the array's primary
+  /// technique — it is charged the array's fixed costs (paper Sec 3.3.5).
+  /// No legs: the primary copy is never a recovery source (it is what gets
+  /// rebuilt).
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
  private:
   DevicePtr array_;

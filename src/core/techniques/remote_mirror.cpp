@@ -87,35 +87,28 @@ Bytes RemoteMirror::requiredBufferSize(const WorkloadSpec& workload,
   return workload.uniqueBytes(policy_.primaryWindows().accW) + overshoot;
 }
 
-std::vector<PlacedDemand> RemoteMirror::normalModeDemands(
-    const WorkloadSpec& workload) const {
+void RemoteMirror::appendRows(const WorkloadSpec& workload,
+                              const DeviceModel* primaryTarget,
+                              LevelRows& rows) const {
   const Bandwidth rate = propagationRate(workload);
-  std::vector<PlacedDemand> out;
+  rows.storage.push_back(dest_.get());
   // Links: this technique owns them.
-  out.push_back(PlacedDemand{
-      links_, DeviceDemand{.techniqueName = name(),
-                           .bandwidth = rate,
-                           .capacity = Bytes{0},
-                           .shipmentsPerYear = 0.0,
-                           .isPrimaryTechnique = true}});
+  rows.demands.push_back(DemandRow{.device = links_.get(),
+                                   .bandwidth = rate,
+                                   .capacity = Bytes{0},
+                                   .isPrimaryTechnique = true});
   // Destination array: applies the update stream, holds one full copy.
-  out.push_back(PlacedDemand{
-      dest_, DeviceDemand{.techniqueName = name(),
-                          .bandwidth = rate,
-                          .capacity = workload.dataCap(),
-                          .shipmentsPerYear = 0.0,
-                          .isPrimaryTechnique = true}});
-  return out;
-}
-
-std::vector<RecoveryLeg> RemoteMirror::recoveryLegs(
-    DevicePtr primaryTarget) const {
+  rows.demands.push_back(DemandRow{.device = dest_.get(),
+                                   .bandwidth = rate,
+                                   .capacity = workload.dataCap(),
+                                   .isPrimaryTechnique = true});
   // `via = links_` is a hint; the recovery model drops the WAN hop when the
   // replacement primary is co-located with the mirror (site failover).
-  return {RecoveryLeg{.from = dest_,
-                      .to = primaryTarget ? primaryTarget : source_,
-                      .via = links_,
-                      .serializedFix = Duration::zero()}};
+  rows.legs.push_back(
+      RecoveryLeg{.from = dest_.get(),
+                  .to = primaryTarget ? primaryTarget : source_.get(),
+                  .via = links_.get(),
+                  .serializedFix = Duration::zero()});
 }
 
 }  // namespace stordep

@@ -42,10 +42,6 @@ class RemoteMirror final : public Technique {
   [[nodiscard]] DevicePtr destArray() const noexcept { return dest_; }
   [[nodiscard]] DevicePtr links() const noexcept { return links_; }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {dest_};
-  }
-
   /// The steady-state rate the links must carry for this mode.
   [[nodiscard]] Bandwidth propagationRate(const WorkloadSpec& workload) const;
 
@@ -69,15 +65,16 @@ class RemoteMirror final : public Technique {
   [[nodiscard]] Bytes requiredBufferSize(const WorkloadSpec& workload,
                                          Duration burstDuration) const;
 
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
-
-  /// Restore: copy from the destination array back to the (replacement)
-  /// primary. The recovery model routes it over the links when the
-  /// replacement is at a different site, or locally when the replacement is
-  /// provisioned next to the mirror (site-disaster failover).
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
+  /// Storage: the destination array. Demands: the propagation rate on the
+  /// links, and the rate plus one full copy on the destination array.
+  /// Leg: copy from the destination array back to the (replacement)
+  /// primary (the source array when `primaryTarget` is null). The recovery
+  /// model routes it over the links when the replacement is at a different
+  /// site, or locally when the replacement is provisioned next to the mirror
+  /// (site-disaster failover).
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
  private:
   MirrorMode mode_;

@@ -13,31 +13,27 @@ VirtualSnapshot::VirtualSnapshot(std::string name, DevicePtr array,
   }
 }
 
-std::vector<PlacedDemand> VirtualSnapshot::normalModeDemands(
-    const WorkloadSpec& workload) const {
+void VirtualSnapshot::appendRows(const WorkloadSpec& workload,
+                                 const DeviceModel* primaryTarget,
+                                 LevelRows& rows) const {
   const Bandwidth cowBandwidth = 2.0 * workload.avgUpdateRate();
   const Bytes perSnapshot =
       workload.uniqueBytes(policy_.primaryWindows().accW);
   const Bytes capacity =
       perSnapshot * static_cast<double>(policy_.retentionCount());
-  return {PlacedDemand{
-      array_,
-      DeviceDemand{.techniqueName = name(),
-                   .bandwidth = cowBandwidth,
-                   .capacity = capacity,
-                   .shipmentsPerYear = 0.0,
-                   .isPrimaryTechnique = false}}};
-}
-
-std::vector<RecoveryLeg> VirtualSnapshot::recoveryLegs(
-    DevicePtr primaryTarget) const {
+  rows.storage.push_back(array_.get());
+  rows.demands.push_back(DemandRow{.device = array_.get(),
+                                   .bandwidth = cowBandwidth,
+                                   .capacity = capacity,
+                                   .isPrimaryTechnique = false});
   // Snapshots share the primary array: restoring copies old blocks back in
   // place. If the recovery target is a replacement array (shouldn't happen —
   // snapshots die with the array), the leg still reads from this array.
-  return {RecoveryLeg{.from = array_,
-                      .to = primaryTarget ? primaryTarget : array_,
-                      .via = nullptr,
-                      .serializedFix = Duration::zero()}};
+  rows.legs.push_back(
+      RecoveryLeg{.from = array_.get(),
+                  .to = primaryTarget ? primaryTarget : array_.get(),
+                  .via = nullptr,
+                  .serializedFix = Duration::zero()});
 }
 
 }  // namespace stordep

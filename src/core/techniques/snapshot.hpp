@@ -23,19 +23,13 @@ class VirtualSnapshot final : public Technique {
   }
   [[nodiscard]] DevicePtr array() const noexcept { return array_; }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {array_};
-  }
-
-  /// Array demands: bandwidth 2 x avgUpdateR (COW read + write per
-  /// foreground write); capacity retCnt x uniqueBytes(accW) (each retained
-  /// snapshot stores one window's unique updates).
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
-
-  /// Restore is an intra-array copy of the requested data.
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
+  /// Storage: the array. Array demand: bandwidth 2 x avgUpdateR (COW read
+  /// + write per foreground write); capacity retCnt x uniqueBytes(accW)
+  /// (each retained snapshot stores one window's unique updates). Leg: an
+  /// intra-array copy of the requested data.
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
  private:
   DevicePtr array_;

@@ -13,8 +13,9 @@ SplitMirror::SplitMirror(std::string name, DevicePtr array,
   }
 }
 
-std::vector<PlacedDemand> SplitMirror::normalModeDemands(
-    const WorkloadSpec& workload) const {
+void SplitMirror::appendRows(const WorkloadSpec& workload,
+                             const DeviceModel* primaryTarget,
+                             LevelRows& rows) const {
   const double copies = static_cast<double>(mirrorCount());
   const Duration accW = policy_.primaryWindows().accW;
   // The resilvering mirror was split `copies` windows ago; its catch-up data
@@ -23,21 +24,16 @@ std::vector<PlacedDemand> SplitMirror::normalModeDemands(
   const Bandwidth catchUpRate = workload.uniqueBytes(staleRange) / accW;
   const Bandwidth resilverBandwidth = 2.0 * catchUpRate;  // read + write
   const Bytes capacity = workload.dataCap() * copies;
-  return {PlacedDemand{
-      array_,
-      DeviceDemand{.techniqueName = name(),
-                   .bandwidth = resilverBandwidth,
-                   .capacity = capacity,
-                   .shipmentsPerYear = 0.0,
-                   .isPrimaryTechnique = false}}};
-}
-
-std::vector<RecoveryLeg> SplitMirror::recoveryLegs(
-    DevicePtr primaryTarget) const {
-  return {RecoveryLeg{.from = array_,
-                      .to = primaryTarget ? primaryTarget : array_,
-                      .via = nullptr,
-                      .serializedFix = Duration::zero()}};
+  rows.storage.push_back(array_.get());
+  rows.demands.push_back(DemandRow{.device = array_.get(),
+                                   .bandwidth = resilverBandwidth,
+                                   .capacity = capacity,
+                                   .isPrimaryTechnique = false});
+  rows.legs.push_back(
+      RecoveryLeg{.from = array_.get(),
+                  .to = primaryTarget ? primaryTarget : array_.get(),
+                  .via = nullptr,
+                  .serializedFix = Duration::zero()});
 }
 
 }  // namespace stordep

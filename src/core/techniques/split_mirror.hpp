@@ -27,20 +27,14 @@ class SplitMirror final : public Technique {
     return policy_.retentionCount() + 1;
   }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {array_};
-  }
-
-  /// Array demands: capacity (retCnt+1) x dataCap; bandwidth
-  /// 2 x (retCnt+1) x batchUpdR((retCnt+1) x accW) — the resilvering mirror
-  /// catches up on retCnt+1 windows of unique updates within one window,
-  /// read from the primary and written to the mirror.
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
-
-  /// Restore is an intra-array copy.
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
+  /// Storage: the array. Array demand: capacity (retCnt+1) x dataCap;
+  /// bandwidth 2 x (retCnt+1) x batchUpdR((retCnt+1) x accW) — the
+  /// resilvering mirror catches up on retCnt+1 windows of unique updates
+  /// within one window, read from the primary and written to the mirror.
+  /// Leg: an intra-array copy.
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
  private:
   DevicePtr array_;

@@ -31,27 +31,25 @@ double Vaulting::shipmentsPerYear() const noexcept {
   return Duration{Duration::kYear} / policy_.cyclePeriod();
 }
 
-std::vector<PlacedDemand> Vaulting::normalModeDemands(
-    const WorkloadSpec& workload) const {
-  std::vector<PlacedDemand> out;
+void Vaulting::appendRows(const WorkloadSpec& workload,
+                          const DeviceModel* primaryTarget,
+                          LevelRows& rows) const {
+  rows.storage.push_back(vault_.get());
 
   // Vault retains retCnt full images.
-  out.push_back(PlacedDemand{
-      vault_,
-      DeviceDemand{.techniqueName = name(),
-                   .bandwidth = Bandwidth::zero(),
-                   .capacity = workload.dataCap() *
-                               static_cast<double>(policy_.retentionCount()),
-                   .shipmentsPerYear = 0.0,
-                   .isPrimaryTechnique = true}});
+  rows.demands.push_back(DemandRow{
+      .device = vault_.get(),
+      .bandwidth = Bandwidth::zero(),
+      .capacity =
+          workload.dataCap() * static_cast<double>(policy_.retentionCount()),
+      .isPrimaryTechnique = true});
 
   // Courier dispatches.
-  out.push_back(PlacedDemand{
-      shipment_, DeviceDemand{.techniqueName = name(),
-                              .bandwidth = Bandwidth::zero(),
-                              .capacity = Bytes{0},
-                              .shipmentsPerYear = shipmentsPerYear(),
-                              .isPrimaryTechnique = true}});
+  rows.demands.push_back(DemandRow{.device = shipment_.get(),
+                                   .bandwidth = Bandwidth::zero(),
+                                   .capacity = Bytes{0},
+                                   .shipmentsPerYear = shipmentsPerYear(),
+                                   .isPrimaryTechnique = true});
 
   // Extra on-site copy when tapes ship before their retention expires:
   // read + write one full image within the vault propagation window, and
@@ -60,36 +58,28 @@ std::vector<PlacedDemand> Vaulting::normalModeDemands(
     const Duration copyWindow = policy_.primaryWindows().propW.secs() > 0
                                     ? policy_.primaryWindows().propW
                                     : policy_.cyclePeriod();
-    out.push_back(PlacedDemand{
-        library_,
-        DeviceDemand{.techniqueName = name(),
-                     .bandwidth = 2.0 * (workload.dataCap() / copyWindow),
-                     .capacity = workload.dataCap(),
-                     .shipmentsPerYear = 0.0,
-                     .isPrimaryTechnique = false}});
+    rows.demands.push_back(DemandRow{
+        .device = library_.get(),
+        .bandwidth = 2.0 * (workload.dataCap() / copyWindow),
+        .capacity = workload.dataCap(),
+        .isPrimaryTechnique = false});
   }
-  return out;
+
+  // Leg 1: physically ship the media back to a library.
+  rows.legs.push_back(RecoveryLeg{.from = vault_.get(),
+                                  .to = library_.get(),
+                                  .via = shipment_.get(),
+                                  .serializedFix = Duration::zero()});
+  // Leg 2: read the media at the library into the replacement primary.
+  rows.legs.push_back(RecoveryLeg{.from = library_.get(),
+                                  .to = primaryTarget,
+                                  .via = nullptr,
+                                  .serializedFix = library_->accessDelay()});
 }
 
 Bytes Vaulting::restorePayload(const WorkloadSpec& /*workload*/,
                                Bytes baseSize) const {
   return baseSize;  // vaulted RPs are self-contained fulls
-}
-
-std::vector<RecoveryLeg> Vaulting::recoveryLegs(
-    DevicePtr primaryTarget) const {
-  std::vector<RecoveryLeg> legs;
-  // Leg 1: physically ship the media back to a library.
-  legs.push_back(RecoveryLeg{.from = vault_,
-                             .to = library_,
-                             .via = shipment_,
-                             .serializedFix = Duration::zero()});
-  // Leg 2: read the media at the library into the replacement primary.
-  legs.push_back(RecoveryLeg{.from = library_,
-                             .to = primaryTarget,
-                             .via = nullptr,
-                             .serializedFix = library_->accessDelay()});
-  return legs;
 }
 
 }  // namespace stordep

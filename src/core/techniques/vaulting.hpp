@@ -28,27 +28,24 @@ class Vaulting final : public Technique {
   [[nodiscard]] DevicePtr vault() const noexcept { return vault_; }
   [[nodiscard]] DevicePtr shipment() const noexcept { return shipment_; }
 
-  [[nodiscard]] std::vector<DevicePtr> storageDevices() const override {
-    return {vault_};
-  }
-
   /// True when tapes must be copied before shipment (holdW < backup retW).
   [[nodiscard]] bool needsExtraCopy() const noexcept;
 
   /// Shipments dispatched per year (one per vault cycle).
   [[nodiscard]] double shipmentsPerYear() const noexcept;
 
-  [[nodiscard]] std::vector<PlacedDemand> normalModeDemands(
-      const WorkloadSpec& workload) const override;
+  /// Storage: the vault. Demands: retCnt full images in the vault, the
+  /// courier's dispatches, and the extra on-site copy on the backup device
+  /// when tapes ship early. Legs: ship the media from the vault to the
+  /// backup device's site, then read it there into the (replacement)
+  /// primary (`primaryTarget`, which may be null).
+  void appendRows(const WorkloadSpec& workload,
+                  const DeviceModel* primaryTarget,
+                  LevelRows& rows) const override;
 
   /// Only fulls are vaulted: the restore payload is the image itself.
   [[nodiscard]] Bytes restorePayload(const WorkloadSpec& workload,
                                      Bytes baseSize) const override;
-
-  /// Restore path: ship media from the vault to the backup device's site,
-  /// then read it there into the (replacement) primary.
-  [[nodiscard]] std::vector<RecoveryLeg> recoveryLegs(
-      DevicePtr primaryTarget) const override;
 
  private:
   DevicePtr library_;

@@ -1,7 +1,6 @@
 #include "core/utilization.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace stordep {
 
@@ -13,55 +12,92 @@ const DeviceUtilization* UtilizationResult::find(
   return it == devices.end() ? nullptr : &*it;
 }
 
-UtilizationResult computeUtilization(const StorageDesign& design) {
-  return computeUtilization(design.allDemands());
+namespace {
+
+/// One device's totals over its demand rows.
+struct DeviceLoad {
+  Bandwidth bwLimit;  ///< deliverable bandwidth (min of slots/enclosure)
+  Bytes capLimit;     ///< usable capacity (after RAID overheads)
+  Bandwidth bwDemand;
+  Bytes capDemand;
+  double bwUtil = 0.0;
+  double capUtil = 0.0;
+};
+
+/// The per-device accumulation both views of the model run: every row on
+/// `rows[first]`'s device, in row order. `onShare(row, bwUtil, capUtil)`
+/// sees each row's share of the device's limits.
+template <class OnShare>
+DeviceLoad loadOn(std::span<const DemandRow> rows, std::size_t first,
+                  OnShare&& onShare) {
+  const DeviceModel* device = rows[first].device;
+  DeviceLoad load;
+  load.bwLimit = device->maxBandwidth();
+  load.capLimit = device->usableCapacity();
+  for (std::size_t i = first; i < rows.size(); ++i) {
+    const DemandRow& demand = rows[i];
+    if (demand.device != device) continue;
+    const double bwUtil =
+        load.bwLimit.isInfinite() || load.bwLimit.bytesPerSec() == 0
+            ? 0.0
+            : demand.bandwidth / load.bwLimit;
+    const double capUtil =
+        load.capLimit.isInfinite() ? 0.0 : demand.capacity / load.capLimit;
+    load.bwDemand += demand.bandwidth;
+    load.capDemand += demand.capacity;
+    load.bwUtil += bwUtil;
+    load.capUtil += capUtil;
+    onShare(demand, bwUtil, capUtil);
+  }
+  return load;
 }
 
-UtilizationResult computeUtilization(const std::vector<PlacedDemand>& all) {
-  // Gather demands per device, preserving first-seen device order.
-  std::vector<DevicePtr> order;
-  std::map<const DeviceModel*, std::vector<DeviceDemand>> byDevice;
-  for (const auto& pd : all) {
-    if (byDevice.find(pd.device.get()) == byDevice.end()) {
-      order.push_back(pd.device);
-    }
-    byDevice[pd.device.get()].push_back(pd.demand);
-  }
+std::string bandwidthOverload(const std::string& device,
+                              const DeviceLoad& load) {
+  return "device '" + device + "' bandwidth overloaded: demand " +
+         toString(load.bwDemand) + " exceeds " + toString(load.bwLimit);
+}
 
+std::string capacityOverload(const std::string& device,
+                             const DeviceLoad& load) {
+  return "device '" + device + "' capacity overloaded: demand " +
+         toString(load.capDemand) + " exceeds " + toString(load.capLimit);
+}
+
+}  // namespace
+
+UtilizationResult computeUtilization(const StorageDesign& design) {
+  return computeUtilization(design.allDemands(), design.levelNames());
+}
+
+UtilizationResult computeUtilization(std::span<const DemandRow> rows,
+                                     std::span<const std::string_view> names) {
   UtilizationResult result;
-  for (const auto& device : order) {
+  for (std::size_t first = 0; first < rows.size(); ++first) {
+    if (!firstOnDevice(rows, first)) continue;
     DeviceUtilization du;
-    du.device = device->name();
-    du.bwLimit = device->maxBandwidth();
-    du.capLimit = device->usableCapacity();
-
-    for (const auto& demand : byDevice[device.get()]) {
-      DemandShare share;
-      share.technique = demand.techniqueName;
-      share.bandwidth = demand.bandwidth;
-      share.capacity = demand.capacity;
-      share.bwUtil = du.bwLimit.isInfinite() || du.bwLimit.bytesPerSec() == 0
-                         ? 0.0
-                         : demand.bandwidth / du.bwLimit;
-      share.capUtil = du.capLimit.isInfinite()
-                          ? 0.0
-                          : demand.capacity / du.capLimit;
-      du.bwDemand += demand.bandwidth;
-      du.capDemand += demand.capacity;
-      du.bwUtil += share.bwUtil;
-      du.capUtil += share.capUtil;
-      du.shares.push_back(std::move(share));
-    }
-
+    du.device = rows[first].device->name();
+    const auto addShare = [&](const DemandRow& demand, double bwUtil,
+                              double capUtil) {
+      du.shares.push_back(
+          DemandShare{.technique = std::string(names[demand.owner]),
+                      .bandwidth = demand.bandwidth,
+                      .capacity = demand.capacity,
+                      .bwUtil = bwUtil,
+                      .capUtil = capUtil});
+    };
+    const DeviceLoad load = loadOn(rows, first, addShare);
+    du.bwDemand = load.bwDemand;
+    du.capDemand = load.capDemand;
+    du.bwLimit = load.bwLimit;
+    du.capLimit = load.capLimit;
+    du.bwUtil = load.bwUtil;
+    du.capUtil = load.capUtil;
     if (du.bwUtil > 1.0) {
-      result.errors.push_back(
-          "device '" + du.device + "' bandwidth overloaded: demand " +
-          toString(du.bwDemand) + " exceeds " + toString(du.bwLimit));
+      result.errors.push_back(bandwidthOverload(du.device, load));
     }
     if (du.capUtil > 1.0) {
-      result.errors.push_back(
-          "device '" + du.device + "' capacity overloaded: demand " +
-          toString(du.capDemand) + " exceeds " + toString(du.capLimit));
+      result.errors.push_back(capacityOverload(du.device, load));
     }
     result.devices.push_back(std::move(du));
   }
@@ -80,62 +116,16 @@ UtilizationResult computeUtilization(const std::vector<PlacedDemand>& all) {
 }
 
 UtilizationFeasibility computeUtilizationFeasibility(
-    const std::vector<PlacedDemand>& all) {
-  // Same first-seen device order as computeUtilization(), without building
-  // the per-device demand map: for each distinct device, re-scan `all` for
-  // its demands. The per-demand accumulation below must mirror the full
-  // model's exactly (same expressions, same order) so the double sums land
-  // on the same bits.
-  std::vector<const DeviceModel*> seen;
-  UtilizationFeasibility out;
-  for (std::size_t first = 0; first < all.size(); ++first) {
-    const DeviceModel* device = all[first].device.get();
-    bool isNew = true;
-    for (const DeviceModel* s : seen) {
-      if (s == device) {
-        isNew = false;
-        break;
-      }
-    }
-    if (!isNew) continue;
-    seen.push_back(device);
-
-    const Bandwidth bwLimit = device->maxBandwidth();
-    const Bytes capLimit = device->usableCapacity();
-    Bandwidth bwDemand;
-    Bytes capDemand;
-    double bwUtil = 0.0;
-    double capUtil = 0.0;
-    for (std::size_t i = first; i < all.size(); ++i) {
-      if (all[i].device.get() != device) continue;
-      const DeviceDemand& demand = all[i].demand;
-      const double shareBw = bwLimit.isInfinite() || bwLimit.bytesPerSec() == 0
-                                 ? 0.0
-                                 : demand.bandwidth / bwLimit;
-      const double shareCap =
-          capLimit.isInfinite() ? 0.0 : demand.capacity / capLimit;
-      bwDemand += demand.bandwidth;
-      capDemand += demand.capacity;
-      bwUtil += shareBw;
-      capUtil += shareCap;
-    }
-
-    if (bwUtil > 1.0) {
-      out.feasible = false;
-      out.firstError = "device '" + std::string(device->name()) +
-                       "' bandwidth overloaded: demand " + toString(bwDemand) +
-                       " exceeds " + toString(bwLimit);
-      return out;
-    }
-    if (capUtil > 1.0) {
-      out.feasible = false;
-      out.firstError = "device '" + std::string(device->name()) +
-                       "' capacity overloaded: demand " + toString(capDemand) +
-                       " exceeds " + toString(capLimit);
-      return out;
-    }
+    std::span<const DemandRow> rows) {
+  for (std::size_t first = 0; first < rows.size(); ++first) {
+    if (!firstOnDevice(rows, first)) continue;
+    const DeviceLoad load =
+        loadOn(rows, first, [](const DemandRow&, double, double) {});
+    const std::string& device = rows[first].device->name();
+    if (load.bwUtil > 1.0) return {false, bandwidthOverload(device, load)};
+    if (load.capUtil > 1.0) return {false, capacityOverload(device, load)};
   }
-  return out;
+  return {};
 }
 
 }  // namespace stordep

@@ -6,7 +6,9 @@
 // an error whenever any utilization exceeds 1 (the design is infeasible).
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hierarchy.hpp"
@@ -53,19 +55,20 @@ struct UtilizationResult {
 
 [[nodiscard]] UtilizationResult computeUtilization(const StorageDesign& design);
 
-/// Same model over an explicit demand set (used by multi-object portfolios,
-/// which merge demands from several designs sharing devices).
+/// Same model over explicit demand rows (used by multi-object portfolios,
+/// which merge rows from several designs sharing devices). Devices are
+/// reported in first-seen order; `names[row.owner]` names each share's
+/// technique.
 [[nodiscard]] UtilizationResult computeUtilization(
-    const std::vector<PlacedDemand>& demands);
+    std::span<const DemandRow> demands,
+    std::span<const std::string_view> names);
 
 /// Feasibility-only view of the utilization model: whether any device is
 /// overloaded, and the first diagnostic string computeUtilization() would
 /// have produced. Plan compilation (engine/plan.hpp) needs exactly this much
-/// — search folds only feasible() and errors[0] into a candidate verdict —
-/// and computing the full per-device/per-share report costs more than the
-/// rest of a plan compile combined. The fold below runs the same per-demand
-/// double accumulations in the same order as computeUtilization(), so
-/// feasible and firstError are bit-for-bit what the full model reports.
+/// — search folds only feasible() and errors[0] into a candidate verdict.
+/// Both views run one per-device accumulation, so feasible and firstError
+/// are bit-for-bit what the full model reports.
 struct UtilizationFeasibility {
   bool feasible = true;
   /// First entry of UtilizationResult::errors; empty when feasible.
@@ -73,6 +76,6 @@ struct UtilizationFeasibility {
 };
 
 [[nodiscard]] UtilizationFeasibility computeUtilizationFeasibility(
-    const std::vector<PlacedDemand>& demands);
+    std::span<const DemandRow> demands);
 
 }  // namespace stordep

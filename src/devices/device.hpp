@@ -58,19 +58,6 @@ class DeviceError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One technique's demand on one device, in the units the utilization model
-/// needs (paper Sec 3.2.3 / 3.3.1).
-struct DeviceDemand {
-  std::string techniqueName;
-  Bandwidth bandwidth;
-  Bytes capacity;
-  double shipmentsPerYear = 0.0;
-  /// True for the technique that "owns" the device — it is charged the fixed
-  /// costs; secondary techniques are charged only their incremental
-  /// capacity/bandwidth costs (paper Sec 3.3.5).
-  bool isPrimaryTechnique = false;
-};
-
 /// Abstract operational + cost model for a device.
 class DeviceModel {
  public:

@@ -504,10 +504,6 @@ Fingerprint fingerprintScenario(const FailureScenario& scenario) {
   return h.finish();
 }
 
-Fingerprint fingerprintWorkload(const WorkloadSpec& workload) {
-  return hashWorkloadTokens(workload);
-}
-
 Fingerprint fingerprintDesignJson(const StorageDesign& design) {
   return fingerprintBytes(canonicalSerialization(design));
 }

@@ -15,7 +15,7 @@ const std::string kNoDeviceName;
 std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   // The StorageDesign and PrimaryCopy constructors guarantee a primary
   // level with a non-null array.
-  const DevicePtr primaryArray = design.primary().array();
+  const DeviceModel* primaryArray = design.primary().array().get();
 
   auto plan = std::shared_ptr<EvalPlan>(new EvalPlan());
   const WorkloadSpec& workload = design.workload();
@@ -27,11 +27,34 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     plan->facilityProvisioningTime_ = design.facility()->provisioningTime;
   }
 
-  // Distinct device rows, first-seen order: storage devices level by level,
-  // then restore-leg endpoints/transports level by level.
-  auto addDevice = [&](const DevicePtr& d) -> std::int32_t {
-    for (std::size_t i = 0; i < plan->devices_.size(); ++i) {
-      if (plan->devices_[i].device.get() == d.get()) {
+  // Per-thread scratch, reused across compiles: every level's rows and the
+  // tables built from them. Once warm, a compile allocates only the plan's
+  // own vectors, each sized exactly from the scratch at the end.
+  struct Scratch {
+    LevelRows rows;
+    std::vector<std::string_view> names;  ///< level names, by demand owner
+    std::vector<OutlayShare> outlays;
+    std::vector<DeviceRow> devices;
+    std::vector<LegRow> legs;
+    std::vector<std::uint32_t> storageIdx;
+    std::vector<std::int32_t> contribLevel;
+    std::vector<Bandwidth> contribBandwidth;
+  };
+  thread_local Scratch scratch;
+  LevelRows& rows = scratch.rows;
+  rows.clear();
+  scratch.names.clear();
+  scratch.devices.clear();
+  scratch.legs.clear();
+  scratch.storageIdx.clear();
+  scratch.contribLevel.clear();
+  scratch.contribBandwidth.clear();
+
+  // Distinct device rows, first-seen order: per level, its storage devices,
+  // then its restore-leg endpoints/transports.
+  auto addDevice = [&](const DeviceModel* d) -> std::int32_t {
+    for (std::size_t i = 0; i < scratch.devices.size(); ++i) {
+      if (scratch.devices[i].device == d) {
         return static_cast<std::int32_t>(i);
       }
     }
@@ -39,19 +62,12 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     row.device = d;
     row.hasSpare = d->spec().spare.type != SpareType::kNone;
     row.spareProvisioningTime = d->spareProvisioningTime();
-    plan->devices_.push_back(std::move(row));
-    return static_cast<std::int32_t>(plan->devices_.size() - 1);
+    scratch.devices.push_back(row);
+    return static_cast<std::int32_t>(scratch.devices.size() - 1);
   };
 
   const int levelCount = design.levelCount();
   plan->levels_.reserve(static_cast<std::size_t>(levelCount));
-  // A level typically adds one or two distinct devices (its storage, a leg
-  // transport); the reserve only saves regrowth, it bounds nothing.
-  plan->devices_.reserve(2 * static_cast<std::size_t>(levelCount));
-  std::vector<std::vector<PlacedDemand>> perLevelDemands;
-  perLevelDemands.reserve(static_cast<std::size_t>(levelCount));
-  std::size_t demandCount = 0;
-
   for (int i = 0; i < levelCount; ++i) {
     const Technique& tech = design.level(i);
     LevelRow row;
@@ -66,18 +82,25 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
       row.defaultPayload = tech.restorePayload(workload, workload.dataCap());
     }
 
-    row.storageBegin = static_cast<std::uint32_t>(plan->storageIdx_.size());
-    for (const DevicePtr& d : tech.storageDevices()) {
+    const std::size_t firstStorage = rows.storage.size();
+    const std::size_t firstLeg = rows.legs.size();
+    design.appendLevelRows(i, primaryArray, rows);
+    scratch.names.emplace_back(tech.name());
+
+    row.storageBegin = static_cast<std::uint32_t>(scratch.storageIdx.size());
+    for (std::size_t s = firstStorage; s < rows.storage.size(); ++s) {
+      const DeviceModel* d = rows.storage[s];
       if (!d) {
         throw DesignError("design '" + design.name() + "': level '" +
                           tech.name() + "' has a null storage device");
       }
-      plan->storageIdx_.push_back(static_cast<std::uint32_t>(addDevice(d)));
+      scratch.storageIdx.push_back(static_cast<std::uint32_t>(addDevice(d)));
     }
-    row.storageEnd = static_cast<std::uint32_t>(plan->storageIdx_.size());
+    row.storageEnd = static_cast<std::uint32_t>(scratch.storageIdx.size());
 
-    row.legBegin = static_cast<std::uint32_t>(plan->legs_.size());
-    for (const RecoveryLeg& leg : tech.recoveryLegs(primaryArray)) {
+    row.legBegin = static_cast<std::uint32_t>(scratch.legs.size());
+    for (std::size_t l = firstLeg; l < rows.legs.size(); ++l) {
+      const RecoveryLeg& leg = rows.legs[l];
       // recoverFrom() stops at a leg with a missing endpoint; the legs
       // after it are never walked, so they get no rows.
       if (!leg.from || !leg.to) {
@@ -95,43 +118,43 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
         lr.viaPhysical = leg.via->deliversPhysically();
         lr.viaTransit = leg.via->accessDelay();
       }
-      plan->legs_.push_back(lr);
+      scratch.legs.push_back(lr);
     }
-    row.legEnd = static_cast<std::uint32_t>(plan->legs_.size());
+    row.legEnd = static_cast<std::uint32_t>(scratch.legs.size());
 
     plan->levels_.push_back(std::move(row));
-    perLevelDemands.push_back(tech.normalModeDemands(workload));
-    demandCount += perLevelDemands.back().size();
   }
 
   // Flat per-device bandwidth-contribution table for the availableBw fold,
   // in the exact order the legacy fold adds them: levels outer, each
-  // level's demand vector inner.
-  for (DeviceRow& row : plan->devices_) {
-    row.contribBegin = static_cast<std::uint32_t>(plan->contribLevel_.size());
-    for (int i = 0; i < levelCount; ++i) {
-      for (const PlacedDemand& pd : perLevelDemands[static_cast<std::size_t>(i)]) {
-        if (pd.device.get() != row.device.get()) continue;
-        plan->contribLevel_.push_back(i);
-        plan->contribBandwidth_.push_back(pd.demand.bandwidth);
-      }
+  // level's demand rows inner.
+  for (DeviceRow& row : scratch.devices) {
+    row.contribBegin = static_cast<std::uint32_t>(scratch.contribLevel.size());
+    for (const DemandRow& d : rows.demands) {
+      if (d.device != row.device) continue;
+      scratch.contribLevel.push_back(static_cast<std::int32_t>(d.owner));
+      scratch.contribBandwidth.push_back(d.bandwidth);
     }
-    row.contribEnd = static_cast<std::uint32_t>(plan->contribLevel_.size());
+    row.contribEnd = static_cast<std::uint32_t>(scratch.contribLevel.size());
   }
 
-  // Scenario-independent half of the evaluation, resolved once. The demand
-  // vector is assembled exactly like StorageDesign::allDemands() (level
-  // order), so both folds see the legacy operand order.
-  std::vector<PlacedDemand> all;
-  all.reserve(demandCount);
-  for (auto& demands : perLevelDemands) {
-    all.insert(all.end(), std::make_move_iterator(demands.begin()),
-               std::make_move_iterator(demands.end()));
-  }
-  UtilizationFeasibility feasibility = computeUtilizationFeasibility(all);
+  plan->devices_.assign(scratch.devices.begin(), scratch.devices.end());
+  plan->legs_.assign(scratch.legs.begin(), scratch.legs.end());
+  plan->storageIdx_.assign(scratch.storageIdx.begin(),
+                           scratch.storageIdx.end());
+  plan->contribLevel_.assign(scratch.contribLevel.begin(),
+                             scratch.contribLevel.end());
+  plan->contribBandwidth_.assign(scratch.contribBandwidth.begin(),
+                                 scratch.contribBandwidth.end());
+
+  // Scenario-independent half of the evaluation, resolved once over the
+  // rows in level order, the order the legacy evaluator folds.
+  UtilizationFeasibility feasibility =
+      computeUtilizationFeasibility(rows.demands);
   plan->utilFeasible_ = feasibility.feasible;
   plan->utilError_ = std::move(feasibility.firstError);
-  for (const TechniqueOutlay& o : computeOutlays(all)) {
+  computeOutlays(rows.demands, scratch.names, scratch.outlays);
+  for (const OutlayShare& o : scratch.outlays) {
     plan->totalOutlays_ += o.total();
   }
 
@@ -238,8 +261,8 @@ EvalPlan::ResolvedRecovery EvalPlan::resolveRecovery(
       break;
     }
     ResolvedLeg r;
-    r.from = devices_[static_cast<std::size_t>(leg.from)].device.get();
-    r.to = devices_[static_cast<std::size_t>(leg.to)].device.get();
+    r.from = devices_[static_cast<std::size_t>(leg.from)].device;
+    r.to = devices_[static_cast<std::size_t>(leg.to)].device;
     const bool resolvedSameSite = from.loc->site == to.loc->site;
     const bool useVia =
         leg.via >= 0 && !(leg.originallyCrossSite && resolvedSameSite);
@@ -253,7 +276,7 @@ EvalPlan::ResolvedRecovery EvalPlan::resolveRecovery(
     if (!r.physical) {
       if (!from.fresh) r.fromDemands = demandFold(leg.from);
       if (useVia) {
-        r.via = devices_[static_cast<std::size_t>(leg.via)].device.get();
+        r.via = devices_[static_cast<std::size_t>(leg.via)].device;
         r.viaDemands = demandFold(leg.via);
       }
       if (!to.fresh) r.toDemands = demandFold(leg.to);

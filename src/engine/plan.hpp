@@ -3,21 +3,22 @@
 // The optimizer's inner loop evaluates one design under many scenarios and
 // thousands of designs per sweep. The legacy evaluate() walks the design's
 // pointer graph from scratch for every (design, scenario) pair: every level
-// re-materializes its normal-mode demand vector (strings included), every
-// availableBandwidth() call re-enumerates every level's demands, and the
-// result carries vectors of diagnostic strings that are built only to be
-// thrown away by the candidate fold. An EvalPlan front-loads all of that
-// into one compile step per design:
+// re-appends its rows, every availableBandwidth() call re-enumerates every
+// level's demands, and the result carries vectors of diagnostic strings
+// that are built only to be thrown away by the candidate fold. An EvalPlan
+// front-loads all of that into one compile step per design:
 //
-//   compile    flattens the design into contiguous structure-of-arrays
-//              tables — device rows (the shared device, whose name and
-//              location the scenario tests read, plus spare), per-level
-//              recovery-window scalars (lag, oldest retained age, in-range
-//              loss), restore-leg rows with device indices, and a flat
+//   compile    asks each level for its rows once (Technique::appendRows,
+//              into per-thread scratch) and flattens them into contiguous
+//              structure-of-arrays tables, each sized exactly — device rows
+//              (a plain pointer to the device, whose name and location the
+//              scenario tests read, plus spare), per-level recovery-window
+//              scalars (lag, oldest retained age, in-range loss),
+//              restore-leg rows with device indices, and a flat
 //              (level, bandwidth) contribution table per device for the
 //              available-bandwidth fold. The scenario-independent half of
-//              an evaluation (utilization feasibility, outlay totals) is
-//              resolved here once.
+//              an evaluation (utilization feasibility, outlay total) is
+//              folded here once over the same rows.
 //   evaluate   runs one scenario against the tables: destroyed-device and
 //              destroyed-level flags, recovery-source choice, and the leg
 //              walk are plain indexed loops over the rows, allocating
@@ -53,7 +54,8 @@ class EvalPlan {
  public:
   /// Flattens `design` into an immutable plan; never null. Throws
   /// DesignError when a level lists a null storage device. The plan holds
-  /// shared ownership of the design's devices, techniques and a copy of its
+  /// shared ownership of the design's techniques, which own the devices its
+  /// rows point to (Technique's lifetime rule), and a copy of its
   /// workload/business inputs; the StorageDesign itself may be destroyed
   /// afterwards.
   [[nodiscard]] static std::shared_ptr<const EvalPlan> compile(
@@ -92,7 +94,7 @@ class EvalPlan {
 
   /// One restore leg with its scenario-dependent parts resolved. Device
   /// pointers are kept only for transferBandwidth() (payload-dependent
-  /// virtual); the plan's DeviceRow owns them.
+  /// virtual); the plan's techniques own them.
   struct ResolvedLeg {
     const DeviceModel* from = nullptr;
     const DeviceModel* to = nullptr;
@@ -143,8 +145,9 @@ class EvalPlan {
   /// endpoints/transports).
   struct DeviceRow {
     /// Name and location are read through it; also kept for
-    /// transferBandwidth() (payload-dependent).
-    DevicePtr device;
+    /// transferBandwidth() (payload-dependent). Owned by the level
+    /// technique that names it, which levels_ holds.
+    const DeviceModel* device = nullptr;
     /// device->spec().spare.type != kNone (spares rescue kArray failures)
     bool hasSpare = false;
     Duration spareProvisioningTime = Duration::zero();

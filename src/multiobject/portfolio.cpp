@@ -55,21 +55,25 @@ std::vector<size_t> topoSort(const std::vector<ObjectSpec>& objects) {
   return order;
 }
 
+std::vector<std::string_view> nameViews(const std::vector<std::string>& names) {
+  return {names.begin(), names.end()};
+}
+
 }  // namespace
 
-std::vector<PlacedDemand> mergedDemands(
-    const std::vector<ObjectSpec>& objects) {
-  std::vector<PlacedDemand> all;
+MergedDemands mergedDemands(const std::vector<ObjectSpec>& objects) {
+  MergedDemands merged;
   for (const ObjectSpec& object : objects) {
-    for (PlacedDemand pd : object.design.allDemands()) {
-      // Qualify the technique with the object so cost attribution stays
-      // legible ("db/foreground workload" vs "app/foreground workload").
-      pd.demand.techniqueName =
-          object.name + "/" + pd.demand.techniqueName;
-      all.push_back(std::move(pd));
+    const auto offset = static_cast<std::uint32_t>(merged.names.size());
+    for (DemandRow row : object.design.allDemands()) {
+      row.owner += offset;
+      merged.rows.push_back(row);
+    }
+    for (const std::string_view name : object.design.levelNames()) {
+      merged.names.push_back(object.name + "/" + std::string(name));
     }
   }
-  return all;
+  return merged;
 }
 
 Portfolio::Portfolio(std::vector<ObjectSpec> objects)
@@ -91,14 +95,16 @@ const ObjectSpec& Portfolio::object(const std::string& name) const {
 }
 
 UtilizationResult Portfolio::aggregateUtilization() const {
-  return computeUtilization(mergedDemands(objects_));
+  const MergedDemands merged = mergedDemands(objects_);
+  return computeUtilization(merged.rows, nameViews(merged.names));
 }
 
 Money Portfolio::aggregateOutlays() const {
+  const MergedDemands merged = mergedDemands(objects_);
+  std::vector<OutlayShare> outlays;
+  computeOutlays(merged.rows, nameViews(merged.names), outlays);
   Money total = Money::zero();
-  for (const auto& outlay : computeOutlays(mergedDemands(objects_))) {
-    total += outlay.total();
-  }
+  for (const OutlayShare& outlay : outlays) total += outlay.total();
   return total;
 }
 

@@ -131,9 +131,16 @@ class Portfolio {
   std::vector<size_t> topoOrder_;
 };
 
-/// Convenience: per-device merged demand view used by the aggregate models
-/// (exposed for tests).
-[[nodiscard]] std::vector<PlacedDemand> mergedDemands(
+/// Every object's demand rows, in object then level order, merged for the
+/// aggregate models. Each row's owner indexes `names`, which qualify the
+/// technique with its object so cost attribution stays legible
+/// ("db/foreground workload" vs "app/foreground workload").
+struct MergedDemands {
+  std::vector<DemandRow> rows;
+  std::vector<std::string> names;
+};
+
+[[nodiscard]] MergedDemands mergedDemands(
     const std::vector<ObjectSpec>& objects);
 
 }  // namespace stordep::multiobject

@@ -120,8 +120,9 @@ namespace {
 /// except the WAN link count. Within one design the roles stay separate
 /// devices, because computeOutlays and StorageDesign::devices() group by
 /// pointer. The table is per thread, not per process: each candidate copies
-/// these pointers into storage lists, legs, demands and plan rows, and pool
-/// workers sharing one table would all count on the same control blocks.
+/// these shared pointers into its techniques (the rows and plan tables built
+/// from them hold plain pointers), and pool workers sharing one table would
+/// all count on the same control blocks.
 struct CatalogDevices {
   DevicePtr primaryArray = catalog::midrangeDiskArray(
       casestudy::kPrimaryArrayName, Location::at(casestudy::kPrimarySite));

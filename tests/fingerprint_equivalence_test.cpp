@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "casestudy/casestudy.hpp"
+#include "config/design_io.hpp"
+#include "config/json.hpp"
 #include "engine/batch.hpp"
 #include "engine/fingerprint.hpp"
 #include "optimizer/design_space.hpp"
@@ -373,6 +375,211 @@ TEST(EvalCacheStats, ProbesCountLookupTraffic) {
   const engine::EvalCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.probes, stats.hits + stats.misses);
   EXPECT_EQ(stats.probes, 2u);
+}
+
+
+// A remote mirror may name any array as its "source". Asked with a null
+// restore target, the mirror's leg runs back to that source, so
+// StorageDesign::devices() lists it even though no level stores RPs on it
+// or places a demand there. designToJson() writes that device list and
+// fingerprintDesign() hashes it; the literals below were recorded before
+// techniques described their levels as rows.
+TEST(DeviceOrder, NullRestoreTargetKeepsANonPrimaryMirrorSource) {
+  const StorageDesign design = config::designFromJson(config::Json::parse(
+      R"json({
+  "name": "mirror of a staging array",
+  "workload": {
+    "name": "small",
+    "dataCap": 1099511627776,
+    "avgAccessR": 1048576,
+    "avgUpdateR": 524288,
+    "burstM": 4,
+    "batchUpdR": [
+      {
+        "window": 60,
+        "rate": 524288
+      },
+      {
+        "window": 86400,
+        "rate": 262144
+      }
+    ]
+  },
+  "business": {
+    "unavailPenRatePerHour": 1000,
+    "lossPenRatePerHour": 2000
+  },
+  "devices": [
+    {
+      "type": "disk_array",
+      "raid": "RAID-1",
+      "raidGroupSize": 8,
+      "name": "primary-array",
+      "location": {
+        "site": "primary-site"
+      },
+      "maxCapSlots": 64,
+      "slotCap": 78383153152,
+      "maxBWSlots": 64,
+      "slotBW": 26214400,
+      "enclBW": 536870912,
+      "devDelay": 0,
+      "costs": {
+        "fixed": 1000,
+        "perGB": 1,
+        "perMBps": 0,
+        "perShipment": 0
+      },
+      "spare": {
+        "type": "none"
+      }
+    },
+    {
+      "type": "network_link",
+      "linkCount": 2,
+      "perLinkBW": 19375000,
+      "name": "wan-links",
+      "location": {
+        "site": "wide-area"
+      },
+      "maxCapSlots": 0,
+      "slotCap": 0,
+      "maxBWSlots": 2,
+      "slotBW": 19375000,
+      "enclBW": 0,
+      "devDelay": 0.05,
+      "costs": {
+        "fixed": 0,
+        "perGB": 0,
+        "perMBps": 10,
+        "perShipment": 0
+      },
+      "spare": {
+        "type": "none"
+      }
+    },
+    {
+      "type": "disk_array",
+      "raid": "RAID-5",
+      "raidGroupSize": 8,
+      "name": "mirror-array",
+      "location": {
+        "site": "mirror-site"
+      },
+      "maxCapSlots": 64,
+      "slotCap": 78383153152,
+      "maxBWSlots": 64,
+      "slotBW": 26214400,
+      "enclBW": 536870912,
+      "devDelay": 0,
+      "costs": {
+        "fixed": 500,
+        "perGB": 1,
+        "perMBps": 0,
+        "perShipment": 0
+      },
+      "spare": {
+        "type": "none"
+      }
+    },
+    {
+      "type": "disk_array",
+      "raid": "RAID-1",
+      "raidGroupSize": 8,
+      "name": "staging-array",
+      "location": {
+        "site": "staging-site"
+      },
+      "maxCapSlots": 64,
+      "slotCap": 78383153152,
+      "maxBWSlots": 64,
+      "slotBW": 26214400,
+      "enclBW": 536870912,
+      "devDelay": 0,
+      "costs": {
+        "fixed": 700,
+        "perGB": 1,
+        "perMBps": 0,
+        "perShipment": 0
+      },
+      "spare": {
+        "type": "none"
+      }
+    }
+  ],
+  "levels": [
+    {
+      "technique": "primary_copy",
+      "array": "primary-array"
+    },
+    {
+      "technique": "remote_mirror",
+      "name": "staging mirror",
+      "mode": "async",
+      "source": "staging-array",
+      "destination": "mirror-array",
+      "links": "wan-links",
+      "policy": {
+        "windows": {
+          "accW": 0,
+          "propW": 0,
+          "holdW": 0,
+          "propRep": "partial"
+        },
+        "retCnt": 1,
+        "retW": 0,
+        "copyRep": "full"
+      }
+    }
+  ]
+})json"));
+  std::vector<std::string> names;
+  for (const DevicePtr& device : design.devices()) {
+    names.push_back(device->name());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"primary-array", "mirror-array",
+                                             "wan-links", "staging-array"}));
+  EXPECT_EQ(config::designToJson(design).dump(),
+      "{\"name\":\"mirror of a staging array\", "
+      "\"workload\":{\"name\":\"small\", \"dataCap\":1099511627776, "
+      "\"avgAccessR\":1048576, \"avgUpdateR\":524288, \"burstM\":4, "
+      "\"batchUpdR\":[{\"window\":60, \"rate\":524288}, {\"window\":86400, "
+      "\"rate\":262144}]}, \"business\":{\"unavailPenRatePerHour\":1000, "
+      "\"lossPenRatePerHour\":2000}, \"devices\":[{\"type\":\"disk_array\", "
+      "\"raid\":\"RAID-1\", \"raidGroupSize\":8, \"name\":\"primary-array\", "
+      "\"location\":{\"site\":\"primary-site\"}, \"maxCapSlots\":64, "
+      "\"slotCap\":78383153152, \"maxBWSlots\":64, \"slotBW\":26214400, "
+      "\"enclBW\":536870912, \"devDelay\":0, \"costs\":{\"fixed\":1000, "
+      "\"perGB\":1, \"perMBps\":0, \"perShipment\":0}, "
+      "\"spare\":{\"type\":\"none\"}}, {\"type\":\"disk_array\", "
+      "\"raid\":\"RAID-5\", \"raidGroupSize\":8, \"name\":\"mirror-array\", "
+      "\"location\":{\"site\":\"mirror-site\"}, \"maxCapSlots\":64, "
+      "\"slotCap\":78383153152, \"maxBWSlots\":64, \"slotBW\":26214400, "
+      "\"enclBW\":536870912, \"devDelay\":0, \"costs\":{\"fixed\":500, "
+      "\"perGB\":1, \"perMBps\":0, \"perShipment\":0}, "
+      "\"spare\":{\"type\":\"none\"}}, {\"type\":\"network_link\", "
+      "\"linkCount\":2, \"perLinkBW\":19375000, \"name\":\"wan-links\", "
+      "\"location\":{\"site\":\"wide-area\"}, \"maxCapSlots\":0, "
+      "\"slotCap\":0, \"maxBWSlots\":2, \"slotBW\":19375000, \"enclBW\":0, "
+      "\"devDelay\":0.050000000000000003, \"costs\":{\"fixed\":0, "
+      "\"perGB\":0, \"perMBps\":10, \"perShipment\":0}, "
+      "\"spare\":{\"type\":\"none\"}}, {\"type\":\"disk_array\", "
+      "\"raid\":\"RAID-1\", \"raidGroupSize\":8, \"name\":\"staging-array\", "
+      "\"location\":{\"site\":\"staging-site\"}, \"maxCapSlots\":64, "
+      "\"slotCap\":78383153152, \"maxBWSlots\":64, \"slotBW\":26214400, "
+      "\"enclBW\":536870912, \"devDelay\":0, \"costs\":{\"fixed\":700, "
+      "\"perGB\":1, \"perMBps\":0, \"perShipment\":0}, "
+      "\"spare\":{\"type\":\"none\"}}], "
+      "\"levels\":[{\"technique\":\"primary_copy\", "
+      "\"array\":\"primary-array\"}, {\"technique\":\"remote_mirror\", "
+      "\"name\":\"staging mirror\", \"mode\":\"async\", "
+      "\"source\":\"staging-array\", \"destination\":\"mirror-array\", "
+      "\"links\":\"wan-links\", \"policy\":{\"windows\":{\"accW\":0, "
+      "\"propW\":0, \"holdW\":0, \"propRep\":\"partial\"}, \"retCnt\":1, "
+      "\"retW\":0, \"copyRep\":\"full\"}}]}");
+  const Fingerprint fp = engine::fingerprintDesign(design);
+  EXPECT_EQ(fp.hi, 0x54815dba23d648e2ull);
+  EXPECT_EQ(fp.lo, 0xde10062d1a2d3ec9ull);
 }
 
 }  // namespace

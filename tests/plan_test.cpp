@@ -2,16 +2,21 @@
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
 // reuse/rewind protocol, plan-compilation determinism (recompiled designs
-// evaluate to the same bits), hand-written designs the generator never
-// produces (restore legs with missing endpoints, null storage devices), and
-// that a cold plan-routed search returns bit-identical rankings at 1/2/4/8
-// threads (this binary also runs under TSan in CI).
+// evaluate to the same bits), how many heap allocations a warm compile
+// makes (this binary replaces the global operator new with a counting one),
+// hand-written designs the generator never produces (restore legs with
+// missing endpoints, null storage devices), and that a cold plan-routed
+// search returns bit-identical rankings at 1/2/4/8 threads (this binary also
+// runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,6 +33,25 @@
 #include "engine/plan.hpp"
 #include "optimizer/design_space.hpp"
 #include "optimizer/search.hpp"
+
+// Global allocation counter: counts the calling thread's operator new calls
+// while tCountAllocations is set. Deletes are not counted. The replacements
+// stay out of line, so the compiler never pairs an inlined std::free with a
+// new-expression.
+namespace {
+thread_local bool tCountAllocations = false;
+thread_local std::size_t tAllocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (tCountAllocations) ++tAllocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -173,6 +197,39 @@ TEST(PlanCompile, EveryCaseStudyDesignIsPlannable) {
   }
 }
 
+TEST(PlanCompile, WarmCompileAllocatesOnlyThePlan) {
+  // Once its per-thread scratch is warm, compile allocates the plan itself,
+  // its exactly sized tables and its workload copy, and, for an infeasible
+  // design, the diagnostic string: at most 16 allocations per compile,
+  // however many rows the design's levels append.
+  std::vector<stordep::StorageDesign> designs;
+  opt::DesignSpaceCursor cursor;
+  opt::CandidateSpec spec;
+  while (cursor.next(spec)) {
+    designs.push_back(spec.build(cs::celloWorkload(), cs::requirements()));
+  }
+  for (auto& [label, design] : cs::allWhatIfDesigns()) {
+    designs.push_back(std::move(design));
+  }
+  // Nine split mirrors of the dataset overfill the primary array.
+  const opt::CandidateSpec overfull{.pit = opt::PitChoice::kSplitMirror,
+                                    .pitRetentionCount = 8,
+                                    .backup = opt::BackupChoice::kFullOnly,
+                                    .vault = true};
+  designs.push_back(overfull.build(cs::celloWorkload(), cs::requirements()));
+  std::size_t infeasible = 0;
+  for (const stordep::StorageDesign& design : designs) {
+    (void)EvalPlan::compile(design);  // warms this thread's scratch
+    tAllocations = 0;
+    tCountAllocations = true;
+    const auto plan = EvalPlan::compile(design);
+    tCountAllocations = false;
+    EXPECT_LE(tAllocations, 16u) << design.name();
+    if (!plan->utilizationFeasible()) ++infeasible;
+  }
+  EXPECT_GT(infeasible, 0u) << "no infeasible design was compiled";
+}
+
 // ---- Plan vs legacy on the case-study designs ------------------------------
 
 TEST(PlanEvaluate, BitIdenticalToLegacyOnCaseStudyMatrix) {
@@ -213,13 +270,21 @@ TEST(PlanEvaluate, RepeatedEvalsReuseArenaWithoutGrowth) {
 
 // ---- Designs outside the generated corpus ---------------------------------
 
+/// One scripted restore leg; the technique keeps its devices alive.
+struct ScriptedLeg {
+  stordep::DevicePtr from;
+  stordep::DevicePtr to;
+  stordep::DevicePtr via;
+  stordep::Duration serializedFix;
+};
+
 /// A technique whose storage devices and restore legs are given verbatim, so
 /// a test can build the malformed shapes no built-in technique constructor
 /// accepts: restore legs with missing endpoints, null storage devices.
 class ScriptedTechnique final : public stordep::Technique {
  public:
   ScriptedTechnique(std::string name, std::vector<stordep::DevicePtr> storage,
-                    std::vector<stordep::RecoveryLeg> legs)
+                    std::vector<ScriptedLeg> legs)
       : Technique(std::move(name), stordep::TechniqueKind::kBackup),
         storage_(std::move(storage)),
         legs_(std::move(legs)),
@@ -231,22 +296,21 @@ class ScriptedTechnique final : public stordep::Technique {
       const noexcept override {
     return &policy_;
   }
-  [[nodiscard]] std::vector<stordep::DevicePtr> storageDevices()
-      const override {
-    return storage_;
-  }
-  [[nodiscard]] std::vector<stordep::PlacedDemand> normalModeDemands(
-      const stordep::WorkloadSpec&) const override {
-    return {};
-  }
-  [[nodiscard]] std::vector<stordep::RecoveryLeg> recoveryLegs(
-      stordep::DevicePtr) const override {
-    return legs_;
+  void appendRows(const stordep::WorkloadSpec&, const stordep::DeviceModel*,
+                  stordep::LevelRows& rows) const override {
+    for (const stordep::DevicePtr& d : storage_) {
+      rows.storage.push_back(d.get());
+    }
+    for (const ScriptedLeg& leg : legs_) {
+      rows.legs.push_back(stordep::RecoveryLeg{leg.from.get(), leg.to.get(),
+                                               leg.via.get(),
+                                               leg.serializedFix});
+    }
   }
 
  private:
   std::vector<stordep::DevicePtr> storage_;
-  std::vector<stordep::RecoveryLeg> legs_;
+  std::vector<ScriptedLeg> legs_;
   stordep::ProtectionPolicy policy_;
 };
 
@@ -270,7 +334,7 @@ stordep::StorageDesign brokenRestoreDesign() {
       "broken restore design",
       std::make_shared<ScriptedTechnique>(
           "broken restore", std::vector<stordep::DevicePtr>{offsite},
-          std::vector<stordep::RecoveryLeg>{stordep::RecoveryLeg{
+          std::vector<ScriptedLeg>{ScriptedLeg{
               nullptr, nullptr, nullptr, stordep::Duration::zero()}}));
 }
 
@@ -306,11 +370,10 @@ TEST(PlanFallback, SecondLegWithoutEndpointWalksTheFirstLeg) {
       "two-leg restore design",
       std::make_shared<ScriptedTechnique>(
           "two-leg restore", std::vector<stordep::DevicePtr>{offsite},
-          std::vector<stordep::RecoveryLeg>{
-              stordep::RecoveryLeg{offsite, staging, nullptr,
-                                   stordep::minutes(5)},
-              stordep::RecoveryLeg{staging, nullptr, nullptr,
-                                   stordep::Duration::zero()}}));
+          std::vector<ScriptedLeg>{
+              ScriptedLeg{offsite, staging, nullptr, stordep::minutes(5)},
+              ScriptedLeg{staging, nullptr, nullptr,
+                          stordep::Duration::zero()}}));
   const auto plan = EvalPlan::compile(design);
   ASSERT_NE(plan, nullptr);
   BumpArena arena;
@@ -348,7 +411,7 @@ TEST(PlanFallback, NullStorageDeviceThrowsDesignError) {
       "null storage design",
       std::make_shared<ScriptedTechnique>(
           "null storage", std::vector<stordep::DevicePtr>{nullptr},
-          std::vector<stordep::RecoveryLeg>{}));
+          std::vector<ScriptedLeg>{}));
   try {
     (void)EvalPlan::compile(design);
     ADD_FAILURE() << "compile accepted a null storage device";

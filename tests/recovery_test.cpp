@@ -197,11 +197,11 @@ TEST(AvailableBandwidth, SubtractsContinuingDemands) {
   }
   ASSERT_TRUE(lib);
   const Bandwidth avail =
-      availableBandwidth(d, lib, gigabytes(1360), /*fresh=*/false);
+      availableBandwidth(d, *lib, gigabytes(1360), /*fresh=*/false);
   // 240 MB/s minus the ~8.06 MB/s backup write stream.
   EXPECT_NEAR(avail.mbPerSec(), 240 - 8.06, 0.1);
   const Bandwidth fresh =
-      availableBandwidth(d, lib, gigabytes(1360), /*fresh=*/true);
+      availableBandwidth(d, *lib, gigabytes(1360), /*fresh=*/true);
   EXPECT_DOUBLE_EQ(fresh.mbPerSec(), 240.0);
 }
 
@@ -214,7 +214,7 @@ TEST(AvailableBandwidth, FloorsAtZeroWhenOverSubscribed) {
   ASSERT_TRUE(lib);
   // A tiny payload engages one drive (60 MB/s); demands are ~8 MB/s, so
   // plenty remains — but never negative in any case.
-  const Bandwidth avail = availableBandwidth(d, lib, megabytes(1), false);
+  const Bandwidth avail = availableBandwidth(d, *lib, megabytes(1), false);
   EXPECT_GE(avail.bytesPerSec(), 0.0);
   EXPECT_NEAR(avail.mbPerSec(), 60 - 8.06, 0.1);
 }

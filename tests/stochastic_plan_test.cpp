@@ -193,18 +193,11 @@ class BrokenRestoreTechnique final : public stordep::Technique {
       const noexcept override {
     return &policy_;
   }
-  [[nodiscard]] std::vector<stordep::DevicePtr> storageDevices()
-      const override {
-    return {storage_};
-  }
-  [[nodiscard]] std::vector<stordep::PlacedDemand> normalModeDemands(
-      const stordep::WorkloadSpec&) const override {
-    return {};
-  }
-  [[nodiscard]] std::vector<stordep::RecoveryLeg> recoveryLegs(
-      stordep::DevicePtr) const override {
-    return {stordep::RecoveryLeg{nullptr, nullptr, nullptr,
-                                 stordep::Duration::zero()}};
+  void appendRows(const stordep::WorkloadSpec&, const stordep::DeviceModel*,
+                  stordep::LevelRows& rows) const override {
+    rows.storage.push_back(storage_.get());
+    rows.legs.push_back(stordep::RecoveryLeg{nullptr, nullptr, nullptr,
+                                             stordep::Duration::zero()});
   }
 
  private:

@@ -35,16 +35,24 @@ ProtectionPolicy simplePolicy(Duration accW, Duration propW, Duration holdW,
                           retCnt, retW);
 }
 
+/// The rows a technique appends on its own.
+LevelRows rowsOf(const Technique& tech, const WorkloadSpec& w,
+                 const DeviceModel* primaryTarget = nullptr) {
+  LevelRows rows;
+  tech.appendRows(w, primaryTarget, rows);
+  return rows;
+}
+
 /// Sums a technique's demands on one device.
 std::pair<Bandwidth, Bytes> demandOn(const Technique& tech,
                                      const WorkloadSpec& w,
                                      const DevicePtr& device) {
   Bandwidth bw = Bandwidth::zero();
   Bytes cap{0};
-  for (const auto& pd : tech.normalModeDemands(w)) {
-    if (pd.device.get() == device.get()) {
-      bw += pd.demand.bandwidth;
-      cap += pd.demand.capacity;
+  for (const DemandRow& d : rowsOf(tech, w).demands) {
+    if (d.device == device.get()) {
+      bw += d.bandwidth;
+      cap += d.capacity;
     }
   }
   return {bw, cap};
@@ -59,7 +67,7 @@ TEST(PrimaryCopy, ForegroundDemands) {
   EXPECT_DOUBLE_EQ(cap.gigabytes(), 1360.0);
   EXPECT_NEAR(bw / a->maxBandwidth(), 0.002, 0.0002);
   EXPECT_NEAR(cap / a->usableCapacity(), 0.146, 0.001);
-  EXPECT_TRUE(primary.normalModeDemands(cello())[0].demand.isPrimaryTechnique);
+  EXPECT_TRUE(rowsOf(primary, cello()).demands[0].isPrimaryTechnique);
   EXPECT_EQ(primary.policy(), nullptr);
 }
 
@@ -86,10 +94,10 @@ TEST(SplitMirror, RestoreIsIntraArrayCopy) {
   const SplitMirror sm("sm", a,
                        simplePolicy(hours(12), Duration::zero(),
                                     Duration::zero(), 4, days(2)));
-  const auto legs = sm.recoveryLegs(a);
+  const auto legs = rowsOf(sm, cello(), a.get()).legs;
   ASSERT_EQ(legs.size(), 1u);
-  EXPECT_EQ(legs[0].from.get(), a.get());
-  EXPECT_EQ(legs[0].to.get(), a.get());
+  EXPECT_EQ(legs[0].from, a.get());
+  EXPECT_EQ(legs[0].to, a.get());
   EXPECT_EQ(legs[0].via, nullptr);
 }
 
@@ -321,13 +329,13 @@ TEST(Vaulting, RecoveryPathShipsThenReads) {
                    simplePolicy(weeks(4), hours(24), weeks(4) + hours(12), 39,
                                 years(3)),
                    weeks(4));
-  const auto legs = v.recoveryLegs(a);
+  const auto legs = rowsOf(v, cello(), a.get()).legs;
   ASSERT_EQ(legs.size(), 2u);
-  EXPECT_EQ(legs[0].from.get(), vault.get());
-  EXPECT_EQ(legs[0].to.get(), lib.get());
-  EXPECT_EQ(legs[0].via.get(), air.get());
-  EXPECT_EQ(legs[1].from.get(), lib.get());
-  EXPECT_EQ(legs[1].to.get(), a.get());
+  EXPECT_EQ(legs[0].from, vault.get());
+  EXPECT_EQ(legs[0].to, lib.get());
+  EXPECT_EQ(legs[0].via, air.get());
+  EXPECT_EQ(legs[1].from, lib.get());
+  EXPECT_EQ(legs[1].to, a.get());
   EXPECT_EQ(legs[1].serializedFix, lib->accessDelay());
 }
 
