@@ -4,6 +4,8 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 #include <string_view>
@@ -25,6 +27,16 @@ std::string trimmedFixed(double value, int prec) {
   std::array<char, 1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 +
                        kMaxFixedPrec>
       buf;
+  // A whole number below 1e15 prints as its integer digits once the zero
+  // decimals are trimmed, and the integer conversion is several times
+  // cheaper. Negative zero keeps the fixed form, which prints its sign.
+  if (value == std::floor(value) && std::fabs(value) < 1e15 &&
+      !(value == 0.0 && std::signbit(value))) {
+    const std::to_chars_result printed =
+        std::to_chars(buf.data(), buf.data() + buf.size(),
+                      static_cast<std::int64_t>(value));
+    return std::string(buf.data(), printed.ptr);
+  }
   const std::to_chars_result printed =
       std::to_chars(buf.data(), buf.data() + buf.size(), value,
                     std::chars_format::fixed, prec);

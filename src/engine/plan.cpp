@@ -12,62 +12,58 @@ const std::string kNoDeviceName;
 
 }  // namespace
 
-std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
+void EvalPlan::recompile(const StorageDesign& design) {
   // The StorageDesign and PrimaryCopy constructors guarantee a primary
   // level with a non-null array.
   const DeviceModel* primaryArray = design.primary().array().get();
 
-  auto plan = std::shared_ptr<EvalPlan>(new EvalPlan());
+  // Copy-assigned, so the workload's name and curve reuse their capacity.
   const WorkloadSpec& workload = design.workload();
-  plan->workload_ = workload;
-  plan->business_ = design.business();
-  if (design.facility()) {
-    plan->hasFacility_ = true;
-    plan->facilityLocation_ = design.facility()->location;
-    plan->facilityProvisioningTime_ = design.facility()->provisioningTime;
+  workload_ = workload;
+  business_ = design.business();
+  hasFacility_ = design.facility().has_value();
+  if (hasFacility_) {
+    facilityLocation_ = design.facility()->location;
+    facilityProvisioningTime_ = design.facility()->provisioningTime;
+  } else {
+    facilityLocation_ = Location{};
+    facilityProvisioningTime_ = Duration::zero();
   }
+  devices_.clear();
+  levels_.clear();
+  legs_.clear();
+  storageIdx_.clear();
+  contribLevel_.clear();
+  contribBandwidth_.clear();
 
-  // Per-thread scratch, reused across compiles: every level's rows and the
-  // tables built from them. Once warm, a compile allocates only the plan's
-  // own vectors, each sized exactly from the scratch at the end.
+  // Per-thread scratch, reused across recompiles: every level's rows, the
+  // level names by demand owner, and the outlay shares folded from them.
   struct Scratch {
     LevelRows rows;
-    std::vector<std::string_view> names;  ///< level names, by demand owner
+    std::vector<std::string_view> names;
     std::vector<OutlayShare> outlays;
-    std::vector<DeviceRow> devices;
-    std::vector<LegRow> legs;
-    std::vector<std::uint32_t> storageIdx;
-    std::vector<std::int32_t> contribLevel;
-    std::vector<Bandwidth> contribBandwidth;
   };
   thread_local Scratch scratch;
   LevelRows& rows = scratch.rows;
   rows.clear();
   scratch.names.clear();
-  scratch.devices.clear();
-  scratch.legs.clear();
-  scratch.storageIdx.clear();
-  scratch.contribLevel.clear();
-  scratch.contribBandwidth.clear();
 
   // Distinct device rows, first-seen order: per level, its storage devices,
   // then its restore-leg endpoints/transports.
   auto addDevice = [&](const DeviceModel* d) -> std::int32_t {
-    for (std::size_t i = 0; i < scratch.devices.size(); ++i) {
-      if (scratch.devices[i].device == d) {
-        return static_cast<std::int32_t>(i);
-      }
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (devices_[i].device == d) return static_cast<std::int32_t>(i);
     }
     DeviceRow row;
     row.device = d;
     row.hasSpare = d->spec().spare.type != SpareType::kNone;
     row.spareProvisioningTime = d->spareProvisioningTime();
-    scratch.devices.push_back(row);
-    return static_cast<std::int32_t>(scratch.devices.size() - 1);
+    devices_.push_back(row);
+    return static_cast<std::int32_t>(devices_.size() - 1);
   };
 
   const int levelCount = design.levelCount();
-  plan->levels_.reserve(static_cast<std::size_t>(levelCount));
+  levels_.reserve(static_cast<std::size_t>(levelCount));
   for (int i = 0; i < levelCount; ++i) {
     const Technique& tech = design.level(i);
     LevelRow row;
@@ -87,18 +83,18 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     design.appendLevelRows(i, primaryArray, rows);
     scratch.names.emplace_back(tech.name());
 
-    row.storageBegin = static_cast<std::uint32_t>(scratch.storageIdx.size());
+    row.storageBegin = static_cast<std::uint32_t>(storageIdx_.size());
     for (std::size_t s = firstStorage; s < rows.storage.size(); ++s) {
       const DeviceModel* d = rows.storage[s];
       if (!d) {
         throw DesignError("design '" + design.name() + "': level '" +
                           tech.name() + "' has a null storage device");
       }
-      scratch.storageIdx.push_back(static_cast<std::uint32_t>(addDevice(d)));
+      storageIdx_.push_back(static_cast<std::uint32_t>(addDevice(d)));
     }
-    row.storageEnd = static_cast<std::uint32_t>(scratch.storageIdx.size());
+    row.storageEnd = static_cast<std::uint32_t>(storageIdx_.size());
 
-    row.legBegin = static_cast<std::uint32_t>(scratch.legs.size());
+    row.legBegin = static_cast<std::uint32_t>(legs_.size());
     for (std::size_t l = firstLeg; l < rows.legs.size(); ++l) {
       const RecoveryLeg& leg = rows.legs[l];
       // recoverFrom() stops at a leg with a missing endpoint; the legs
@@ -118,47 +114,43 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
         lr.viaPhysical = leg.via->deliversPhysically();
         lr.viaTransit = leg.via->accessDelay();
       }
-      scratch.legs.push_back(lr);
+      legs_.push_back(lr);
     }
-    row.legEnd = static_cast<std::uint32_t>(scratch.legs.size());
+    row.legEnd = static_cast<std::uint32_t>(legs_.size());
 
-    plan->levels_.push_back(std::move(row));
+    levels_.push_back(std::move(row));
   }
 
   // Flat per-device bandwidth-contribution table for the availableBw fold,
   // in the exact order the legacy fold adds them: levels outer, each
   // level's demand rows inner.
-  for (DeviceRow& row : scratch.devices) {
-    row.contribBegin = static_cast<std::uint32_t>(scratch.contribLevel.size());
+  for (DeviceRow& row : devices_) {
+    row.contribBegin = static_cast<std::uint32_t>(contribLevel_.size());
     for (const DemandRow& d : rows.demands) {
       if (d.device != row.device) continue;
-      scratch.contribLevel.push_back(static_cast<std::int32_t>(d.owner));
-      scratch.contribBandwidth.push_back(d.bandwidth);
+      contribLevel_.push_back(static_cast<std::int32_t>(d.owner));
+      contribBandwidth_.push_back(d.bandwidth);
     }
-    row.contribEnd = static_cast<std::uint32_t>(scratch.contribLevel.size());
+    row.contribEnd = static_cast<std::uint32_t>(contribLevel_.size());
   }
-
-  plan->devices_.assign(scratch.devices.begin(), scratch.devices.end());
-  plan->legs_.assign(scratch.legs.begin(), scratch.legs.end());
-  plan->storageIdx_.assign(scratch.storageIdx.begin(),
-                           scratch.storageIdx.end());
-  plan->contribLevel_.assign(scratch.contribLevel.begin(),
-                             scratch.contribLevel.end());
-  plan->contribBandwidth_.assign(scratch.contribBandwidth.begin(),
-                                 scratch.contribBandwidth.end());
 
   // Scenario-independent half of the evaluation, resolved once over the
   // rows in level order, the order the legacy evaluator folds.
   UtilizationFeasibility feasibility =
       computeUtilizationFeasibility(rows.demands);
-  plan->utilFeasible_ = feasibility.feasible;
-  plan->utilError_ = std::move(feasibility.firstError);
+  utilFeasible_ = feasibility.feasible;
+  utilError_ = std::move(feasibility.firstError);
   computeOutlays(rows.demands, scratch.names, scratch.outlays);
-  for (const OutlayShare& o : scratch.outlays) {
-    plan->totalOutlays_ += o.total();
-  }
+  totalOutlays_ = Money::zero();
+  for (const OutlayShare& o : scratch.outlays) totalOutlays_ += o.total();
+}
 
-  return plan;
+std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
+  // Recompiled in place, then copied: the copy sizes every table exactly,
+  // and this thread's plan keeps its capacity for the next compile.
+  thread_local EvalPlan plan;
+  plan.recompile(design);
+  return std::make_shared<const EvalPlan>(plan);
 }
 
 Bandwidth EvalPlan::availableBw(std::int32_t devIdx, Bytes payload, bool fresh,

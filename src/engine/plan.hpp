@@ -8,17 +8,24 @@
 // that are built only to be thrown away by the candidate fold. An EvalPlan
 // front-loads all of that into one compile step per design:
 //
-//   compile    asks each level for its rows once (Technique::appendRows,
-//              into per-thread scratch) and flattens them into contiguous
-//              structure-of-arrays tables, each sized exactly — device rows
-//              (a plain pointer to the device, whose name and location the
+//   recompile  asks each level for its rows once (Technique::appendRows,
+//              into per-thread scratch) and flattens them into the plan's
+//              own contiguous structure-of-arrays tables — device rows (a
+//              plain pointer to the device, whose name and location the
 //              scenario tests read, plus spare), per-level recovery-window
 //              scalars (lag, oldest retained age, in-range loss),
 //              restore-leg rows with device indices, and a flat
 //              (level, bandwidth) contribution table per device for the
 //              available-bandwidth fold. The scenario-independent half of
 //              an evaluation (utilization feasibility, outlay total) is
-//              folded here once over the same rows.
+//              folded here once over the same rows. Every table is cleared
+//              and refilled in place, keeping its capacity, so a sweep
+//              thread that recompiles one plan per candidate allocates
+//              nothing once the plan has grown to the largest design.
+//   compile    recompiles this thread's own plan and returns an exact
+//              copy of it, each table sized exactly: a shared, immutable
+//              plan for callers that keep plans apart (the plan matrix,
+//              the Monte-Carlo trial plans).
 //   evaluate   runs one scenario against the tables: destroyed-device and
 //              destroyed-level flags, recovery-source choice, and the leg
 //              walk are plain indexed loops over the rows, allocating
@@ -32,7 +39,7 @@
 // scenario)) bit for bit. The plan-vs-legacy differential oracle
 // (src/verify/differential.cpp) enforces this over the generated corpus.
 //
-// compile() is total: every design the StorageDesign constructor accepts
+// Compiling is total: every design the StorageDesign constructor accepts
 // compiles. A restore leg with a missing endpoint ends its level's leg rows
 // and marks the level, reproducing recoverFrom()'s early return (the legs
 // before it are walked; the result is unrecoverable). A null storage device
@@ -52,12 +59,22 @@ namespace stordep::engine {
 
 class EvalPlan {
  public:
-  /// Flattens `design` into an immutable plan; never null. Throws
-  /// DesignError when a level lists a null storage device. The plan holds
-  /// shared ownership of the design's techniques, which own the devices its
-  /// rows point to (Technique's lifetime rule), and a copy of its
-  /// workload/business inputs; the StorageDesign itself may be destroyed
-  /// afterwards.
+  /// An empty plan: no levels, so every scenario is unrecoverable. Fill it
+  /// with recompile().
+  EvalPlan() = default;
+
+  /// Replaces this plan's contents with `design`'s, reusing the tables'
+  /// capacity. Throws DesignError when a level lists a null storage device,
+  /// leaving the plan's contents unspecified until the next recompile. The
+  /// plan holds shared ownership of the design's techniques, which own the
+  /// devices its rows point to (Technique's lifetime rule), and a copy of
+  /// its workload/business inputs; the StorageDesign itself may be
+  /// destroyed afterwards.
+  void recompile(const StorageDesign& design);
+
+  /// An immutable plan of `design`, never null: an exact copy of this
+  /// thread's recompiled plan, each table sized exactly. Throws like
+  /// recompile().
   [[nodiscard]] static std::shared_ptr<const EvalPlan> compile(
       const StorageDesign& design);
 
@@ -139,8 +156,6 @@ class EvalPlan {
                                                 Bytes payload);
 
  private:
-  EvalPlan() = default;
-
   /// One distinct device the per-eval loops query (storage devices and leg
   /// endpoints/transports).
   struct DeviceRow {

@@ -163,6 +163,7 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
   static thread_local CatalogDevices devices;
   const DevicePtr& array = devices.primaryArray;
   std::vector<TechniquePtr> levels;
+  levels.reserve(5);  // primary, PiT, mirror, backup, vault
   levels.push_back(std::make_shared<PrimaryCopy>(array));
 
   if (pit != PitChoice::kNone) {

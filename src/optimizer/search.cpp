@@ -51,9 +51,10 @@ bool foldScenario(EvaluatedCandidate& out, const EvaluationResult& result,
   return true;
 }
 
-/// Evaluates one candidate through a compiled plan: the design is compiled
-/// into an engine::EvalPlan and every scenario folds through
-/// EvalPlan::evaluate on the calling thread's bump arena — no per-eval heap
+/// Evaluates one candidate through a compiled plan: the design is
+/// recompiled into the calling thread's engine::EvalPlan, whose tables keep
+/// their capacity from candidate to candidate, and every scenario folds
+/// through EvalPlan::evaluate on the thread's bump arena — no per-eval heap
 /// allocation, no cache traffic, no shard locks. Field for field this
 /// reproduces the serial reference's foldScenario (the plan contract
 /// guarantees bit-identical metrics; the plan-vs-legacy oracle enforces it),
@@ -74,8 +75,10 @@ EvaluatedCandidate evaluateViaPlan(const CandidateSpec& spec,
   try {
     const StorageDesign design = spec.build(workload, business);
     out.label = design.name();  // build() names the design spec.label()
-    const std::shared_ptr<const engine::EvalPlan> plan =
-        engine::EvalPlan::compile(design);
+    // Separate from EvalPlan::compile's own per-thread plan, which the
+    // expected-penalty sampler below compiles into.
+    thread_local engine::EvalPlan plan;
+    plan.recompile(design);
 
     bool outlaysRecorded = false;
     // Per-scenario worst-case penalty contributions, kept in fold order so
@@ -84,13 +87,13 @@ EvaluatedCandidate evaluateViaPlan(const CandidateSpec& spec,
     for (const ScenarioCase& sc : scenarios) {
       // Scenario-independent, but checked inside the loop so an empty
       // scenario set leaves the candidate untouched, like the legacy fold.
-      if (!plan->utilizationFeasible()) {
+      if (!plan.utilizationFeasible()) {
         out.feasible = false;
-        out.rejectionReason = "over-utilized: " + plan->utilizationError();
+        out.rejectionReason = "over-utilized: " + plan.utilizationError();
         break;
       }
       const EvaluationMetrics m =
-          plan->evaluate(sc.scenario, engine::Engine::threadArena());
+          plan.evaluate(sc.scenario, engine::Engine::threadArena());
       if (!m.recoverable) {
         out.feasible = false;
         out.rejectionReason = "unrecoverable under scenario '" + sc.name + "'";
@@ -155,23 +158,43 @@ EvaluatedCandidate evaluateViaPlan(const CandidateSpec& spec,
   return out;
 }
 
-/// Deterministic ranking shared by all search paths.
+/// Deterministic ranking shared by all search paths: totalCost, then label.
+/// Sorts small keys instead of whole candidates and moves each candidate
+/// once. std::sort's moves depend only on its comparator's answers, so the
+/// order, ties included, is the one a sort of the candidates gives.
 void rankCandidates(SearchResult& result,
                     std::vector<EvaluatedCandidate> evaluated) {
-  for (EvaluatedCandidate& candidate : evaluated) {
+  struct Key {
+    Money totalCost;
+    const std::string* label;
+    std::size_t index;
+  };
+  std::vector<Key> keys;
+  keys.reserve(evaluated.size());
+  for (std::size_t i = 0; i < evaluated.size(); ++i) {
+    const EvaluatedCandidate& candidate = evaluated[i];
     ++result.evaluated;
     if (candidate.error) ++result.failed;
     if (candidate.feasible && candidate.meetsObjectives) {
-      result.ranked.push_back(std::move(candidate));
-    } else {
+      keys.push_back(Key{candidate.totalCost, &candidate.label, i});
+    }
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.totalCost != b.totalCost) return a.totalCost < b.totalCost;
+    return *a.label < *b.label;  // deterministic tie-break
+  });
+  result.ranked.reserve(keys.size());
+  for (const Key& key : keys) {
+    result.ranked.push_back(std::move(evaluated[key.index]));
+  }
+  // A moved-from candidate keeps its flags, so this pass still tells them
+  // apart.
+  result.rejected.reserve(evaluated.size() - keys.size());
+  for (EvaluatedCandidate& candidate : evaluated) {
+    if (!(candidate.feasible && candidate.meetsObjectives)) {
       result.rejected.push_back(std::move(candidate));
     }
   }
-  std::sort(result.ranked.begin(), result.ranked.end(),
-            [](const EvaluatedCandidate& a, const EvaluatedCandidate& b) {
-              if (a.totalCost != b.totalCost) return a.totalCost < b.totalCost;
-              return a.label < b.label;  // deterministic tie-break
-            });
 }
 
 /// Fills the throughput fields every search path reports (evaluated counts
@@ -207,11 +230,13 @@ namespace {
 
 /// The one candidate loop behind every sweep: drains `next` in
 /// SearchOptions::streamChunk-sized waves and fans each wave across the
-/// engine's pool. Every result lands in its wave slot, so the ranking sees
-/// exactly the serial order, and peak memory is O(streamChunk) materialized
-/// candidates regardless of how many `next` yields. A cancel stops the loop
-/// after the wave it lands in; only the candidates that completed are
-/// ranked, and a checkpoint journal resumes the rest.
+/// engine's pool. Each wave appends its slots to the list the ranking reads
+/// and every result is written straight into its own slot, so the ranking
+/// sees exactly the serial order, and peak memory is O(streamChunk)
+/// materialized candidates on top of the evaluated ones, regardless of how
+/// many `next` yields. A cancel stops the loop after the wave it lands in;
+/// that wave's un-evaluated slots are dropped, only the candidates that
+/// completed are ranked, and a checkpoint journal resumes the rest.
 SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
                         const WorkloadSpec& workload,
                         const BusinessRequirements& business,
@@ -249,9 +274,8 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
   std::vector<CandidateSpec> chunk;
   chunk.reserve(chunkSize);
   std::vector<engine::Fingerprint> keys;
-  std::vector<EvaluatedCandidate> evaluated;
-  // Marks the slots holding a finished evaluation (vector<char>: written
-  // concurrently per index).
+  // Marks the wave's slots holding a finished evaluation (vector<char>:
+  // written concurrently per index).
   std::vector<char> completed;
 
   bool stopped = false;
@@ -270,15 +294,17 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
         keys.push_back(fingerprintCandidate(c));
       }
     }
-    evaluated.assign(chunk.size(), EvaluatedCandidate{});
+    // Chunk entry i lands in finished[base + i].
+    const std::size_t base = finished.size();
+    finished.resize(base + chunk.size());
     completed.assign(chunk.size(), 0);
     // Resume: restore journaled candidates before fanning out, so the wave
     // spends its budget only on un-finished work.
     if (journal) {
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         if (const EvaluatedCandidate* record = journal->find(keys[i])) {
-          evaluated[i] = *record;
-          evaluated[i].spec = chunk[i];  // journal stores metrics only
+          finished[base + i] = *record;
+          finished[base + i].spec = chunk[i];  // journal stores metrics only
           completed[i] = 1;
           ++result.skipped;
         }
@@ -290,24 +316,28 @@ SearchResult sweepWaves(const std::function<bool(CandidateSpec&)>& next,
         [&](std::size_t i) {
           if (completed[i] != 0) return;  // restored from the journal
           if (cancellable && token.cancelled()) return;
-          evaluated[i] = evaluateViaPlan(chunk[i], workload, business,
-                                         scenarios, stochastic);
+          EvaluatedCandidate& slot = finished[base + i];
+          slot = evaluateViaPlan(chunk[i], workload, business, scenarios,
+                                 stochastic);
           completed[i] = 1;
           // Only clean evaluations are journaled: a failed candidate is
           // re-attempted on resume, not pinned.
-          if (journal && !evaluated[i].error) {
-            journal->record(keys[i], evaluated[i]);
-          }
+          if (journal && !slot.error) journal->record(keys[i], slot);
         },
         token);
 
+    // Drop the slots a cancellation left un-evaluated, keeping the order of
+    // the rest.
+    std::size_t kept = base;
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      if (completed[i] != 0) {
-        finished.push_back(std::move(evaluated[i]));
-      } else {
-        stopped = true;  // cancellation left this slot un-evaluated
+      if (completed[i] == 0) {
+        stopped = true;
+        continue;
       }
+      if (kept != base + i) finished[kept] = std::move(finished[base + i]);
+      ++kept;
     }
+    finished.resize(kept);
     if (!ranAll) stopped = true;
     if (options.onProgress) options.onProgress(finished.size());
     if (options.waveDelay.count() > 0 && !stopped) {

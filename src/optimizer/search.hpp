@@ -8,12 +8,13 @@
 // evaluate hundreds of candidates in milliseconds.
 //
 // Candidates fan out across an engine::Engine's thread pool (src/engine/).
-// Each one is compiled once into an engine::EvalPlan and every scenario
-// folds allocation-free against the plan; sweeps never touch the engine's
-// result cache. The result is bit-identical to the serial reference
-// (`searchDesignSpaceSerial`, which calls the legacy evaluate()): the plan
-// contract makes every metric equal, candidates are written to indexed
-// slots, and all paths rank by the same deterministic comparison.
+// Each one is recompiled into its sweep thread's reused engine::EvalPlan
+// and every scenario folds allocation-free against the plan; sweeps never
+// touch the engine's result cache. The result is bit-identical to the
+// serial reference (`searchDesignSpaceSerial`, which calls the legacy
+// evaluate()): the plan contract makes every metric equal, candidates are
+// written to indexed slots, and all paths rank by the same deterministic
+// comparison.
 // Robustness: candidate evaluation is isolated — a candidate whose build,
 // compile or evaluation throws carries a structured engine::EvalError
 // instead of aborting the sweep — and SearchOptions add cooperative
@@ -144,10 +145,11 @@ struct SearchOptions {
   std::uint64_t stochasticSeed = 1;
 };
 
-/// Evaluates one candidate against the scenario set: the design is compiled
-/// into an evaluation plan (engine/plan.hpp) and every scenario folds
-/// allocation-free on the calling thread, bit-identical to the serial
-/// reference. Never throws; failures land in EvaluatedCandidate::error.
+/// Evaluates one candidate against the scenario set: the design is
+/// recompiled into the calling thread's reused evaluation plan
+/// (engine/plan.hpp) and every scenario folds allocation-free on that
+/// thread, bit-identical to the serial reference. Never throws; failures
+/// land in EvaluatedCandidate::error.
 /// The two trailing parameters are unused. They remain only so callers
 /// that still pass an engine and a plan flag keep compiling.
 [[nodiscard]] EvaluatedCandidate evaluateCandidate(
@@ -190,7 +192,10 @@ struct SearchOptions {
 
 /// Ranks already-evaluated candidates with the deterministic comparison
 /// every search path shares (totalCost, then label) and fills the count
-/// fields. Sweeps of restricted grid ranges merge through this and rank
+/// fields. It sorts (totalCost, label, index) keys and then moves each
+/// candidate once, ranked ones in key order and rejected ones in input
+/// order; the order equals a sort of the candidates themselves, ties
+/// included. Sweeps of restricted grid ranges merge through this and rank
 /// bit-identically to one sweep of the whole grid: the comparison is a
 /// total order over the union of the ranges. wallSeconds /
 /// candidatesPerSec / skipped / cancelled are left for the caller.

@@ -385,6 +385,92 @@ TEST(PartitionGrid, MergedPartitionRankingIsBitIdentical) {
   }
 }
 
+TEST(Search, RankingOrdersTiesLikeASortOfTheCandidates) {
+  // The ranking sorts (cost, label) keys rather than candidates. On exact
+  // ties it must still give the order a sort of the candidates gives with
+  // the same comparison; tied candidates differ only in their spec. Every
+  // size is past the sort's 16-element insertion-sort cutoff.
+  const auto byCostThenLabel = [](const EvaluatedCandidate& a,
+                                  const EvaluatedCandidate& b) {
+    if (a.totalCost != b.totalCost) return a.totalCost < b.totalCost;
+    return a.label < b.label;
+  };
+  std::mt19937_64 rng(27);
+  for (const int size : {17, 64, 400}) {
+    SCOPED_TRACE(size);
+    std::vector<EvaluatedCandidate> input;
+    for (int i = 0; i < size; ++i) {
+      EvaluatedCandidate c;
+      c.spec.pitRetentionCount = i + 1;
+      c.label = "tie " + std::to_string(rng() % 3);
+      c.totalCost = dollars(static_cast<double>(rng() % 4));
+      c.feasible = rng() % 5 != 0;
+      c.meetsObjectives = rng() % 7 != 0;
+      input.push_back(std::move(c));
+    }
+    std::vector<EvaluatedCandidate> oracle;
+    std::vector<EvaluatedCandidate> rejected;
+    for (const EvaluatedCandidate& c : input) {
+      (c.feasible && c.meetsObjectives ? oracle : rejected).push_back(c);
+    }
+    std::sort(oracle.begin(), oracle.end(), byCostThenLabel);
+
+    const SearchResult result = rankEvaluated(input);
+    EXPECT_EQ(result.evaluated, size);
+    ASSERT_EQ(result.ranked.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ(result.ranked[i].spec, oracle[i].spec) << "rank " << i;
+    }
+    ASSERT_EQ(result.rejected.size(), rejected.size());
+    for (std::size_t i = 0; i < rejected.size(); ++i) {
+      EXPECT_EQ(result.rejected[i].spec, rejected[i].spec) << "rejected " << i;
+    }
+  }
+}
+
+TEST(Search, CancelAfterTheFirstWaveRanksExactlyThatWave) {
+  // A wave evaluates into the slots the ranking reads; a cancel drops the
+  // slots it left empty. Cancelled after the first 8-candidate wave, the
+  // sweep ranks exactly the first 8 candidates, as a ranking of them in
+  // cursor order would, each with its own label.
+  constexpr std::size_t kChunk = 8;
+  const auto workload = cs::celloWorkload();
+  const auto business = cs::requirements();
+  const auto scenarios = caseStudyScenarios();
+  engine::Engine eng(engine::EngineOptions{.threads = 4});
+  engine::CancellationSource source;
+  SearchOptions options;
+  options.eng = &eng;
+  options.streamChunk = kChunk;
+  options.token = source.token();
+  options.onProgress = [&](std::size_t) { source.cancel(); };
+  DesignSpaceCursor cursor;
+  const SearchResult result = searchDesignSpaceStreaming(
+      cursor, workload, business, scenarios, options);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.evaluated, static_cast<int>(kChunk));
+
+  DesignSpaceCursor firstWave;
+  std::vector<EvaluatedCandidate> expected;
+  CandidateSpec spec;
+  while (expected.size() < kChunk && firstWave.next(spec)) {
+    expected.push_back(evaluateCandidate(spec, workload, business, scenarios));
+  }
+  const SearchResult want = rankEvaluated(std::move(expected));
+  const auto expectSame = [](const std::vector<EvaluatedCandidate>& got,
+                             const std::vector<EvaluatedCandidate>& wanted) {
+    ASSERT_EQ(got.size(), wanted.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].spec.valid()) << i;  // not a default candidate
+      EXPECT_EQ(got[i].spec, wanted[i].spec) << i;
+      EXPECT_EQ(got[i].label, got[i].spec.label()) << i;
+      EXPECT_EQ(got[i].totalCost.raw(), wanted[i].totalCost.raw()) << i;
+    }
+  };
+  expectSame(result.ranked, want.ranked);
+  expectSame(result.rejected, want.rejected);
+}
+
 TEST(Search, RanksByTotalCost) {
   const auto candidates = enumerateDesignSpace();
   const SearchResult result = searchDesignSpace(

@@ -2,8 +2,10 @@
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
 // reuse/rewind protocol, plan-compilation determinism (recompiled designs
-// evaluate to the same bits), how many heap allocations a warm compile
-// makes (this binary replaces the global operator new with a counting one),
+// evaluate to the same bits, and a plan recompiled in place keeps nothing of
+// the design before), how many heap allocations a warm compile and a warm
+// sweep candidate make (this binary replaces the global operator new with a
+// counting one),
 // hand-written designs the generator never produces (restore legs with
 // missing endpoints, null storage devices), and that a cold plan-routed
 // search returns bit-identical rankings at 1/2/4/8 threads (this binary also
@@ -230,6 +232,29 @@ TEST(PlanCompile, WarmCompileAllocatesOnlyThePlan) {
   EXPECT_GT(infeasible, 0u) << "no infeasible design was compiled";
 }
 
+TEST(PlanCompile, WarmSweepCandidateAllocatesAtMostTwenty) {
+  // A sweep candidate recompiles its thread's reused plan instead of
+  // allocating a plan of its own. Once warm, what is left is the design
+  // build (its techniques, level vector and name), the label and the
+  // result: at most 20 allocations per candidate.
+  const std::vector<opt::CandidateSpec> candidates =
+      opt::enumerateDesignSpace();
+  const std::vector<opt::ScenarioCase> scenarios = opt::caseStudyScenarios();
+  const stordep::WorkloadSpec workload = cs::celloWorkload();
+  const stordep::BusinessRequirements business = cs::requirements();
+  for (const opt::CandidateSpec& spec : candidates) {
+    (void)opt::evaluateCandidate(spec, workload, business, scenarios);
+  }
+  for (const opt::CandidateSpec& spec : candidates) {
+    tAllocations = 0;
+    tCountAllocations = true;
+    const opt::EvaluatedCandidate candidate =
+        opt::evaluateCandidate(spec, workload, business, scenarios);
+    tCountAllocations = false;
+    EXPECT_LE(tAllocations, 20u) << candidate.label;
+  }
+}
+
 // ---- Plan vs legacy on the case-study designs ------------------------------
 
 TEST(PlanEvaluate, BitIdenticalToLegacyOnCaseStudyMatrix) {
@@ -418,6 +443,78 @@ TEST(PlanFallback, NullStorageDeviceThrowsDesignError) {
   } catch (const stordep::DesignError& e) {
     EXPECT_NE(std::string(e.what()).find("'null storage'"), std::string::npos)
         << e.what();
+  }
+}
+
+/// `design`'s levels without its recovery facility.
+stordep::StorageDesign withoutFacility(const stordep::StorageDesign& design) {
+  std::vector<stordep::TechniquePtr> levels;
+  for (int i = 0; i < design.levelCount(); ++i) {
+    levels.push_back(design.levelPtr(i));
+  }
+  return stordep::StorageDesign(design.name() + " without facility",
+                                design.workload(), design.business(),
+                                std::move(levels));
+}
+
+TEST(PlanCompile, RecompileInPlaceMatchesAFreshCompile) {
+  // One plan recompiled through designs that flip every piece of its state
+  // (feasibility and its message, level count, facility, a missing restore
+  // endpoint) must hold no trace of the design before: after each step it
+  // evaluates like a plan that never held anything else.
+  const stordep::WorkloadSpec workload = cs::celloWorkload();
+  const stordep::BusinessRequirements business = cs::requirements();
+  // Nine split mirrors of the dataset overfill the primary array.
+  const opt::CandidateSpec overfull{.pit = opt::PitChoice::kSplitMirror,
+                                    .pitRetentionCount = 8,
+                                    .backup = opt::BackupChoice::kFullOnly,
+                                    .vault = true};
+  const opt::CandidateSpec deepest{.pit = opt::PitChoice::kSplitMirror,
+                                   .backup = opt::BackupChoice::kFullOnly,
+                                   .vault = true,
+                                   .mirror = opt::MirrorChoice::kAsyncBatch};
+  const opt::CandidateSpec snapshotOnly{.pit = opt::PitChoice::kSnapshot};
+  const stordep::StorageDesign snapshot =
+      snapshotOnly.build(workload, business);
+  std::vector<stordep::StorageDesign> steps;
+  steps.push_back(overfull.build(workload, business));
+  steps.push_back(deepest.build(workload, business));
+  steps.push_back(withoutFacility(snapshot));
+  steps.push_back(brokenRestoreDesign());
+  steps.push_back(snapshot);
+  steps.push_back(cs::baseline());
+  steps.push_back(overfull.build(workload, business));
+  ASSERT_FALSE(EvalPlan::compile(steps[0])->utilizationFeasible());
+  ASSERT_TRUE(EvalPlan::compile(steps[1])->utilizationFeasible());
+  ASSERT_EQ(steps[1].levelCount(), 5);
+  ASSERT_EQ(steps[2].levelCount(), 2);
+  ASSERT_FALSE(steps[2].facility().has_value());
+
+  BumpArena arena;
+  EvalPlan reused;
+  for (const stordep::StorageDesign& design : steps) {
+    reused.recompile(design);
+    const auto compiled = EvalPlan::compile(design);
+    EvalPlan fresh;
+    fresh.recompile(design);
+    const EvalPlan* const references[] = {compiled.get(), &fresh};
+    for (const EvalPlan* want : references) {
+      const std::string context =
+          design.name() + (want == &fresh ? " (fresh plan)" : " (compile)");
+      EXPECT_EQ(reused.utilizationFeasible(), want->utilizationFeasible())
+          << context;
+      EXPECT_EQ(reused.utilizationError(), want->utilizationError())
+          << context;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.totalOutlays().raw()),
+                std::bit_cast<std::uint64_t>(want->totalOutlays().raw()))
+          << context;
+      EXPECT_EQ(reused.levelCount(), want->levelCount()) << context;
+      for (const auto& [scenarioName, scenario] : namedScenarios()) {
+        expectMetricsBitIdentical(reused.evaluate(scenario, arena),
+                                  want->evaluate(scenario, arena),
+                                  context + " / " + scenarioName);
+      }
+    }
   }
 }
 

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace stordep {
@@ -201,6 +203,79 @@ TEST(Formatting, MatchesPrintfOracle) {
   EXPECT_EQ(toString(Money{0.125}), "$0.12");
   EXPECT_EQ(toString(seconds(0.0625)), "0.062 s");
   EXPECT_EQ(toString(Money{-0.001}), "$-0");
+}
+
+/// std::to_chars' fixed form of `value` with `prec` decimals, trailing zeros
+/// and a bare point trimmed.
+std::string toCharsFixedOracle(double value, int prec) {
+  std::vector<char> buf(1024);
+  const std::to_chars_result printed =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                    std::chars_format::fixed, prec);
+  std::string s(buf.data(), printed.ptr);
+  if (s.find('.') != std::string::npos) {
+    while (s.back() == '0') s.pop_back();
+    if (s.back() == '.') s.pop_back();
+  }
+  return s;
+}
+
+/// Checks `value`'s digits at each precision a toString prints it with
+/// unscaled: bytes (0), bandwidth (1) and seconds (3) below their first unit
+/// step, small dollar amounts and terabytes (2; a terabyte is a power of
+/// two, so the scaled value is exact).
+void expectToCharsDigits(double value) {
+  if (value < Bytes::kKB) {
+    EXPECT_EQ(toString(Bytes{value}), toCharsFixedOracle(value, 0) + " B")
+        << value;
+    EXPECT_EQ(toString(Bandwidth{value}),
+              toCharsFixedOracle(value, 1) + " B/s")
+        << value;
+  }
+  if (std::fabs(value) < 1e3) {
+    EXPECT_EQ(toString(Money{value}), "$" + toCharsFixedOracle(value, 2))
+        << value;
+  }
+  if (value >= 1.0 && value < 1e290) {
+    EXPECT_EQ(toString(Bytes{value * Bytes::kTB}),
+              toCharsFixedOracle(value, 2) + " TB")
+        << value;
+  }
+  if (value < Duration::kMinute) {
+    EXPECT_EQ(toString(seconds(value)), toCharsFixedOracle(value, 3) + " s")
+        << value;
+  }
+}
+
+TEST(Formatting, MatchesToCharsFixedOracle) {
+  // Whole numbers below 1e15 print through the integer conversion; every
+  // other value through the fixed form. Both must print the fixed form's
+  // digits at every precision: integers, both zeros, the 1e15 boundary,
+  // halves (which round to even) and seeded random values.
+  for (int n = -1100; n <= 1100; ++n) {
+    expectToCharsDigits(static_cast<double>(n));
+    expectToCharsDigits(n + 0.5);
+  }
+  expectToCharsDigits(0.0);
+  expectToCharsDigits(-0.0);
+  EXPECT_EQ(toString(Bytes{-0.0}), "-0 B");
+  for (const double big : {1e15 - 1, 1e15, 1e15 + 1, 1e15 - 0.5, 1e15 + 2,
+                           9007199254740992.0, 1e14 + 0.25, 1e300}) {
+    expectToCharsDigits(big);
+    expectToCharsDigits(-big);
+  }
+  std::mt19937_64 rng(27);
+  for (int i = 0; i < 4000; ++i) {
+    const auto whole = static_cast<double>(
+        static_cast<std::int64_t>(rng() % 4'000'000'000'000'000) -
+        2'000'000'000'000'000);
+    expectToCharsDigits(whole);
+    expectToCharsDigits(std::ldexp(whole, -static_cast<int>(rng() % 4)));
+    expectToCharsDigits(static_cast<double>(rng() % 2'000'001) / 1000.0 -
+                        1000.0);
+    const double bits = std::bit_cast<double>(rng());
+    if (std::isfinite(bits)) expectToCharsDigits(bits);
+  }
 }
 
 TEST(Formatting, StreamsMatchToString) {
